@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .sl2 import MAT_ID, gcdex, mmul
 from .mms import InvalidInputError
-from .zlattice import mat_mul, vec_mat
+from .zlattice import mat_mul
 
 INFINITY = None
 
@@ -133,8 +133,3 @@ def hecke_matrix(space, q):
             mats = [(1, 0, 0, 2), (1, 1, 0, 2)]
         mats.append(mmul(_diamond_rep(space, q), (q, 0, 0, 1)))
     return _apply_mats(space, mats)
-
-
-def diamond_matrix(space, d):
-    """Classical diamond operator."""
-    return _apply_mats(space, [_diamond_rep(space, d)])

@@ -25,16 +25,21 @@ with tau = S*T, and the coefficients (lambda_g) satisfy the cycle conditions
 lambda_g + lambda_{gS} = 0 and lambda_g + lambda_{g tau} + lambda_{g tau^2} = 0.
 G inverts the intersection form (x, y) -> sum of lambda_g * mu_g, which is
 also provided for reporting.
+
+Every symbol above is a row of ``project``: {g,gS} is the Manin generator of
+g's coset i, {gTS,gT} is minus the Manin generator of coset iT, and {g,gT} is
+the cusp generator of c(i).  The Gram matrix and 6*G are therefore integer
+combinations of those rows; the only division is the final one by 6.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .sl2 import MAT_S, MAT_T, MAT_TAU, mmul
-from .mms import InvalidInputError, reduce_pair
-from .zlattice import (det_rational, kernel_basis, lcm_list, mat_mul,
-                       mat_scale, mat_transpose, snf, vec_mat)
+from .mms import InvalidInputError
+from .zlattice import (common_denominator, det_rational, factor, kernel_basis,
+                       lcm_list, mat_mul, mat_scale, mat_transpose,
+                       scale_to_int, snf, vec_mat)
 
 
 @dataclass
@@ -53,39 +58,27 @@ class PairingMatrix:
         return sum(x * y for x, y in zip(vec_mat(phi, self.mat), psi))
 
     def is_antisymmetric(self):
-        return self.mat == mat_scale(-1, mat_transpose(self.mat))
+        return self.six_mat == mat_scale(-1, mat_transpose(self.six_mat))
 
     def six_times_integral(self):
-        return all(Fraction(x).denominator == 1
-                   for row in self.six_mat for x in row)
-
-
-def _corner_symbols(space, i):
-    """The four symbol rows ({gS,g}, {gTS,gT}, {g,gT}, {g,gS}) at coset i."""
-    g = space.cosets.reps[i]
-    gt = mmul(g, MAT_T)
-    a = reduce_pair(space, mmul(g, MAT_S), g)
-    b = reduce_pair(space, mmul(gt, MAT_S), gt)
-    c = reduce_pair(space, g, gt)
-    d = reduce_pair(space, g, mmul(g, MAT_S))
-    return a, b, c, d
-
-
-def _outer(x, y):
-    return [[xi * yj for yj in y] for xi in x]
+        return common_denominator(self.six_mat) == 1
 
 
 def pairing_matrix(space):
-    """Gram matrix of the duality pairing for the given space."""
-    r = space.rank
-    six = [[0] * r for _ in range(r)]
-    for i in range(space.n_manin):
-        a, b, c, d = _corner_symbols(space, i)
-        for term, sgn in ((_outer(a, b), 1), (_outer(b, a), -1),
-                          (_outer(c, d), -4), (_outer(d, c), 4)):
-            for u in range(r):
-                for v in range(r):
-                    six[u][v] += sgn * term[u][v]
+    """Gram matrix of the duality pairing for the given space.
+
+    With the corner symbols A = {gS,g} = -M_i, B = {gTS,gT} = -M_iT,
+    C = {g,gT} = C_c(i) and D = {g,gS} = M_i stacked over the cosets, six
+    times the Gram matrix is A^T B - B^T A - 4(C^T D - D^T C) = K - K^T for
+    K = A^T B - 4 C^T D, computed as one integer product.
+    """
+    n = space.n_manin
+    manin = space.quotient.project[:n]
+    left = manin + [space.cusp_gen(c) for c in space.cusps.cusp_of]
+    right = [manin[space.cosets.act(i, "T")[0]] for i in range(n)]
+    right += [[-4 * x for x in row] for row in manin]
+    k = mat_mul(mat_transpose(left), right)
+    six = [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]
     mat = [[Fraction(x, 6) for x in row] for row in six]
     return PairingMatrix(mat=mat, six_mat=six)
 
@@ -102,24 +95,12 @@ def fractional_invariants(pairing):
     """Invariant factors of the Gram matrix as positive rationals."""
     if not pairing.mat:
         return []
-    d = lcm_list(Fraction(x).denominator for row in pairing.mat for x in row)
-    scaled = [[int(x * d) for x in row] for row in pairing.mat]
-    return [Fraction(abs(s), d) for s in snf(scaled).invariants]
+    d = common_denominator(pairing.mat)
+    return [Fraction(abs(s), d) for s in snf(scale_to_int(d, pairing.mat)).invariants]
 
 
 def _prime_support(n):
-    out = set()
-    n = abs(n)
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.add(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.add(n)
-    return out
+    return set(factor(n))
 
 
 def is_perfect_over(pairing, inverted):
@@ -184,12 +165,12 @@ def conj_anti_invariance(space, pairing, conj_op):
     """Check <phi o c, psi> = -<phi, psi o c> as a matrix identity.
 
     Precomposition with the conjugation matrix C sends the functional phi to
-    phi * C^T, so the identity reads C^T * P = -P * C.
+    phi * C^T, so the identity reads C^T * P = -P * C; both sides are
+    compared after scaling by 6 and by the denominator of C.
     """
-    ct = mat_transpose(conj_op.normalized())
-    lhs = mat_mul(ct, pairing.mat)
-    rhs = mat_scale(-1, mat_mul(pairing.mat, conj_op.normalized()))
-    return lhs == rhs
+    c = scale_to_int(common_denominator(conj_op.mat), conj_op.mat)
+    six = pairing.six_mat
+    return mat_mul(mat_transpose(c), six) == mat_scale(-1, mat_mul(six, c))
 
 
 def adjointness_check(space, pairing, op, w_op):
@@ -197,12 +178,14 @@ def adjointness_check(space, pairing, op, w_op):
 
     On functionals the operator with element-side matrix M acts by
     phi -> phi * M^T, so <M phi, psi> = <phi, (W M W^-1) psi> for all phi,
-    psi amounts to M^T * P = P * (W * M * W).
+    psi amounts to M^T * P = P * (W * M * W).  With d a common denominator
+    of M and W, both sides are compared after scaling by 6 * d^3.
     """
-    m = op.normalized()
-    w = w_op.normalized()
-    lhs = mat_mul(mat_transpose(m), pairing.mat)
-    rhs = mat_mul(pairing.mat, mat_mul(w, mat_mul(m, w)))
+    d = common_denominator(op.mat, w_op.mat)
+    m, w = scale_to_int(d, op.mat), scale_to_int(d, w_op.mat)
+    six = pairing.six_mat
+    lhs = mat_scale(d * d, mat_mul(mat_transpose(m), six))
+    rhs = mat_mul(six, mat_mul(w, mat_mul(m, w)))
     return lhs == rhs
 
 
@@ -231,17 +214,16 @@ def lambda_from_dual(space, phi):
     for c in range(space.n_cusp):
         if sum(x * y for x, y in zip(space.cusp_gen(c), phi)) != 0:
             raise InvalidInputError("functional must vanish on cusp generators")
-    lam = []
-    for i in range(space.n_manin):
-        row = reduce_pair(space, mmul(space.cosets.reps[i], MAT_S),
-                          space.cosets.reps[i])
-        lam.append(sum(x * y for x, y in zip(row, phi)))
+    # lambda_i = phi({gS, g}) = -phi(ManinGen(i))
+    lam = [-sum(x * y for x, y in zip(space.quotient.project[i], phi))
+           for i in range(space.n_manin)]
     _check_cycle_conditions(space, lam)
     return lam
 
 
 def _tau_action(space, i):
-    return space.cosets.coset_of(mmul(space.cosets.reps[i], MAT_TAU))[0]
+    """Index of the coset of rep_i * tau, with tau = S * T."""
+    return space.cosets.act(space.cosets.act(i, "S")[0], "T")[0]
 
 
 def _check_cycle_conditions(space, lam):
@@ -262,20 +244,24 @@ def lambda_to_mms(space, lam):
     Realizes sum over cosets of (1/6)*lambda_{g tau}*({gS,g} - {gtau^2 S, gtau^2})
     - (2/3)*lambda_g*{g,gT}; the input must satisfy both cycle conditions.
     """
+    return [Fraction(x, 6) for x in _six_times_cycle(space, lam)]
+
+
+def _six_times_cycle(space, lam):
+    """Six times lambda_to_mms, accumulated without division.
+
+    With {gS,g} = -ManinGen(i) and {g,gT} = CuspGen(c(i)) the summand at
+    coset i is lambda_{i tau} * (M_{i tau^2} - M_i) - 4 * lambda_i * C_c(i).
+    """
     _check_cycle_conditions(space, lam)
-    out = [Fraction(0)] * space.rank
+    project = space.quotient.project
+    out = [0] * space.rank
     for i in range(space.n_manin):
-        g = space.cosets.reps[i]
         t1 = _tau_action(space, i)
         t2 = _tau_action(space, t1)
-        g2 = space.cosets.reps[t2]
-        row_a = reduce_pair(space, mmul(g, MAT_S), g)
-        row_b = reduce_pair(space, mmul(g2, MAT_S), g2)
         cg = space.cusp_gen(space.cusps.cusp_of[i])
-        ca = Fraction(lam[t1], 6)
-        cc = Fraction(2 * lam[i], 3)
-        out = [x + ca * (a - b) - cc * c
-               for x, a, b, c in zip(out, row_a, row_b, cg)]
+        out = [x + lam[t1] * (b - a) - 4 * lam[i] * c
+               for x, a, b, c in zip(out, project[i], project[t2], cg)]
     return out
 
 
@@ -288,9 +274,7 @@ def verify_G_identity(space, pairing=None):
     basis = dual_cuspless_basis(space)
     for phi in basis:
         lam = lambda_from_dual(space, phi)
-        direct = [Fraction(x) for x in G_map(p, phi)]
-        closed = lambda_to_mms(space, lam)
-        if direct != closed:
+        if vec_mat(phi, p.six_mat) != _six_times_cycle(space, lam):
             raise InvalidInputError("duality map does not match its closed form")
     return len(basis)
 

@@ -29,6 +29,8 @@ from math import gcd
 import mpmath
 import numpy as np
 
+from .zlattice import factor
+
 
 class UnsupportedModulusError(Exception):
     """Raised for moduli outside the odd-prime-power range."""
@@ -47,35 +49,17 @@ def _term_bound():
 
 def _odd_prime_power(m):
     """Return (p, n) with m = p^n, p an odd prime; raise otherwise."""
-    if m < 3 or m % 2 == 0:
+    fac = factor(m) if m >= 3 and m % 2 else {}
+    if len(fac) != 1:
         raise UnsupportedModulusError(f"{m} is not an odd prime power")
-    p = min(q for q in range(3, m + 1) if m % q == 0 and
-            all(q % r for r in range(2, int(q ** 0.5) + 1)))
-    n = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        n += 1
-    if mm != 1:
-        raise UnsupportedModulusError(f"{m} is not an odd prime power")
-    return p, n
+    return next(iter(fac.items()))
 
 
 def _primitive_root(m):
     """A generator of the cyclic unit group modulo an odd prime power."""
     p, _ = _odd_prime_power(m)
     phi = m // p * (p - 1)
-    prime_factors = set()
-    t = phi
-    q = 2
-    while q * q <= t:
-        if t % q == 0:
-            prime_factors.add(q)
-            while t % q == 0:
-                t //= q
-        q += 1
-    if t > 1:
-        prime_factors.add(t)
+    prime_factors = factor(phi)
     for g in range(2, m):
         if gcd(g, m) != 1:
             continue
@@ -372,7 +356,7 @@ def gamma0p_constants(p, bound=50):
     a_0 = (p-1)/d and a_k = (24/d) * sum of divisors of k prime to p; the
     L-value is the exact closed form -(12/d)*log(p).
     """
-    if p < 3 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if p < 3 or factor(p) != {p: 1}:
         raise UnsupportedModulusError("p must be an odd prime")
     d = gcd(p - 1, 12)
     n = (p - 1) // d

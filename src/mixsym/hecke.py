@@ -1,8 +1,11 @@
 """Hecke, diamond, Atkin-Lehner, and conjugation operators on a SymbolSpace.
 
-Operators are exact rational matrices over the space's basis, acting on row
-vectors by right multiplication.  For a prime q not dividing 2N the Hecke
-operator is assembled integrally from the coset decomposition of
+Operators are exact matrices over the space's basis, acting on row vectors
+by right multiplication.  Each is assembled on the free generators: row j is
+the image of basis vector j, which ``lift`` writes as an integer combination
+of ambient generators, so only the generators occurring in ``lift`` are
+evaluated.  For a prime q not dividing 2N the Hecke operator is an int
+matrix, assembled from the coset decomposition of
 SL2(Z)*diag(1,q)*SL2(Z): writing g_i*g = t_i(g)*g_{sigma(i)} with t_i(g)
 unimodular,
 
@@ -10,34 +13,35 @@ unimodular,
 
 where i runs over -(q-1)/2 .. (q-1)/2, g_i = ((1,i),(0,q)) and
 g_oo = ((q,0),(0,1)).  For q dividing 2N the same double-coset expansion is
-evaluated through rational symbols, and the resulting denominator divides q.
+evaluated through rational symbols, and the resulting denominator divides q;
+Fraction entries occur only on that route and for W_N.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sl2 import MAT_ID, MAT_S, MAT_T, conj_entries, gcdex, mmul
+from .sl2 import MAT_S, MAT_T, conj_entries, gcdex, mmul
 from .mms import InvalidInputError, reduce_pair, reduce_pair_rational
-from .zlattice import identity_matrix, lcm_list, mat_mul, vec_mat
+from .zlattice import (common_denominator, factor, identity_matrix, mat_mul,
+                       scale_to_int, vec_mat)
 
 
 @dataclass
 class OperatorMatrix:
-    """Named exact rational matrix on the symbol-space basis."""
+    """Named exact matrix (int or Fraction entries) on the symbol-space basis."""
 
     name: str
     mat: list
 
     @property
     def denominator(self):
-        return lcm_list(Fraction(x).denominator for row in self.mat for x in row)
+        return common_denominator(self.mat)
 
     def is_integral(self):
         return self.denominator == 1
 
     def __eq__(self, other):
-        return self.normalized() == (other.normalized()
-                                     if isinstance(other, OperatorMatrix) else other)
+        return self.mat == (other.mat if isinstance(other, OperatorMatrix) else other)
 
     def normalized(self):
         return [[Fraction(x) for x in row] for row in self.mat]
@@ -68,9 +72,23 @@ def generator_pairs(space):
 
 
 def operator_from_pair_map(space, fn, name):
-    """Assemble the matrix of the map {g,g'} -> fn(g,g') (fn gives basis coords)."""
-    ambient = [fn(g, gp) for g, gp in generator_pairs(space)]
-    return OperatorMatrix(name, mat_mul(space.quotient.lift, ambient))
+    """Assemble the matrix of the map {g,g'} -> fn(g,g') (fn gives basis coords).
+
+    Row j combines the images of the ambient generators with the integer
+    coefficients of row j of ``lift``; fn runs once per generator that occurs.
+    """
+    pairs = generator_pairs(space)
+    images = {}
+    rows = []
+    for lift_row in space.quotient.lift:
+        row = [0] * space.rank
+        for k, c in enumerate(lift_row):
+            if c:
+                if k not in images:
+                    images[k] = fn(*pairs[k])
+                row = [x + c * y for x, y in zip(row, images[k])]
+        rows.append(row)
+    return OperatorMatrix(name, rows)
 
 
 def complex_conjugation(space):
@@ -140,19 +158,19 @@ def _hecke_integral(space, q, name):
     dia = diamond(space, q)
     lower, upper = _coset_matrices(q)
 
+    def image(gi, g, gp):
+        t, _ = _translate(mmul(gi, g), q)
+        tp, _ = _translate(mmul(gi, gp), q)
+        return reduce_pair(space, t, tp)
+
     def fn(g, gp):
-        total = [Fraction(0)] * space.rank
-        for gi in lower + [upper]:
-            t, _ = _translate(mmul(gi, g), q)
-            tp, _ = _translate(mmul(gi, gp), q)
-            v = reduce_pair(space, t, tp)
-            row = vec_mat(v, dia.mat) if gi == upper else v
-            total = [x + y for x, y in zip(total, row)]
+        total = vec_mat(image(upper, g, gp), dia.mat)
+        for gi in lower:
+            total = [x + y for x, y in zip(total, image(gi, g, gp))]
         return total
 
     op = operator_from_pair_map(space, fn, name)
     assert op.is_integral(), f"{name} unexpectedly non-integral"
-    op.mat = [[int(x) for x in row] for row in op.mat]
     return op
 
 
@@ -204,25 +222,12 @@ def hecke_composite(space, m):
     if m == 1:
         return identity_operator(space, "T1")
     n = space.spec.level
-    fac = _factor(m)
+    fac = factor(m)
     out = None
     for q, k in fac.items():
         op = _prime_power_hecke(space, q, k, n)
         out = op if out is None else compose(out, op, f"T{m}")
     out.name = f"T{m}"
-    return out
-
-
-def _factor(m):
-    out = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
     return out
 
 
@@ -247,5 +252,6 @@ def _prime_power_hecke(space, q, k, n):
 
 
 def operators_commute(a, b):
-    return mat_mul(a.normalized(), b.normalized()) == mat_mul(b.normalized(),
-                                                              a.normalized())
+    d = common_denominator(a.mat, b.mat)
+    x, y = scale_to_int(d, a.mat), scale_to_int(d, b.mat)
+    return mat_mul(x, y) == mat_mul(y, x)

@@ -19,11 +19,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import sl2
-from .sl2 import (GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul,
-                  mneg, mpow_t, stword_decompose)
-from .zlattice import (QuotientLattice, hnf, identity_matrix, kernel_basis,
-                       mat_mul, quotient_by_rows, snf, sublattice_index,
-                       vec_mat)
+from .sl2 import (GroupSpec, MAT_ID, MAT_S, det, gcdex, minv, mmul, mneg,
+                  mpow_t, stword_decompose)
+from .zlattice import (QuotientLattice, identity_matrix, kernel_basis, mat_mul,
+                       quotient_by_rows, snf, sublattice_index, vec_mat)
 
 
 class PresentationError(Exception):

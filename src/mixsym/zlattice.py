@@ -19,10 +19,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_copy(a):
     return [list(row) for row in a]
 
@@ -49,14 +45,6 @@ def vec_mat(v, m):
             for j, y in enumerate(row):
                 out[j] += x * y
     return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c, a):
@@ -382,4 +370,32 @@ def lcm_list(xs):
     out = 1
     for x in xs:
         out = out * x // gcd(out, x)
+    return out
+
+
+def common_denominator(*mats):
+    """Least positive d such that d times each given matrix is integral."""
+    return lcm_list(x.denominator for m in mats for row in m for x in row)
+
+
+def scale_to_int(d, a):
+    """The int matrix d * a, for d a common denominator of a's entries."""
+    return [[(d * x).numerator for x in row] for row in a]
+
+
+def factor(n):
+    """Prime factorisation of |n| by trial division, as {prime: exponent}.
+
+    Returns an empty dict for n in (-1, 0, 1).
+    """
+    n = abs(n)
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out

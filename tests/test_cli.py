@@ -52,6 +52,21 @@ class TestVerify:
         assert rep["status"] == "report"
         assert "MATCH" in rep["detail"]
 
+    def test_suite_all_builds_each_level_once(self, capsys, monkeypatch):
+        from mixsym import cli
+        built = []
+        build = cli.build_space
+
+        def counting(spec):
+            built.append(spec.level)
+            return build(spec)
+
+        monkeypatch.setattr(cli, "build_space", counting)
+        code, _, _ = _run(capsys, ["verify", "--suite", "all",
+                                   "--levels", "5,7"])
+        assert code == 0
+        assert built == [5, 7]
+
     def test_hecke_suite_gamma1(self, capsys):
         code, out, _ = _run(capsys, ["verify", "--suite", "hecke",
                                      "--family", "gamma1", "--levels", "5",

@@ -1,0 +1,98 @@
+"""Golden regression digests for exports, operators and the pairing.
+
+The digests were recorded from a known-good build; any change to coset
+order, basis choice or operator assembly changes them.  To print fresh
+digests (only after confirming the new output is right), run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from mixsym import dualpair, hecke
+from mixsym.mms import build_space, space_to_dict
+from mixsym.sl2 import GroupSpec
+
+EXPORT_DIGESTS = {
+    ("gamma0", 11):
+        "9e16a4df6d3bffc63c2e0604edf71c236d9366ca576076b2258fe17c8e0079fb",
+    ("gamma0", 25):
+        "c4938491fa8df58acfad4dd1fab8f0e3f8131d392bd5fab8f60b7c442c9bc52d",
+    ("gamma1", 7):
+        "e46a5b64468062a53f9ed88b2f3e64ce51717cfcedfce1a7145eb2e25a933d4d",
+    ("gamma0", 101):
+        "0eca19a449ccd960ee17b890a9d88a59921d0dd9c64974cd826180646cafef38",
+}
+
+MATRIX_DIGESTS = {
+    ("gamma0", 11, "T2"):
+        "ae1f0b33c52fca354d997cb77310d7495099cf1f1e02ffb047519bd008e3a976",
+    ("gamma0", 11, "T3"):
+        "d444e07fb9842b1588af63ea1220074e83471a34354b00930f699f97f70a69c2",
+    ("gamma0", 11, "W"):
+        "a617c5ddc666852d006e18e4cb0668b73d386e2a48c5797a10757bf37a0bf936",
+    ("gamma0", 11, "conj"):
+        "9fe5baac9c77b7a1c61c25dd172385aeec82fb867f8d5346b7161ff02f2c7939",
+    ("gamma0", 11, "six_mat"):
+        "1846944799dc47455fc550be944f4fe28a048bb21fd882b65d1f6f77ecab61ba",
+    ("gamma1", 7, "T2"):
+        "2c88ba769e2d9cb665cc74109b2bbc7219e9be7be14232a70b4f024ef9be150a",
+    ("gamma1", 7, "T3"):
+        "0d39b9c0aff3282f8ecf3a7c15ac945b3cf912795aeb8d66ded3f8114bd88fcc",
+    ("gamma1", 7, "W"):
+        "5a6aa8359211b7930e12b08bf7dfa73497d3667546ce77047bd268a461d7f914",
+    ("gamma1", 7, "conj"):
+        "fe9c2d4b405edb4c3861d3a09cf55ce3236f4d16dab7bb1b1baf60ed4d664ac2",
+    ("gamma1", 7, "six_mat"):
+        "fd48cc4f9143f0d8d5d596b5ea12de98fc0df8e653360dd032023cc77059b654",
+}
+
+
+def _space(family, level, _cache={}):
+    if (family, level) not in _cache:
+        _cache[(family, level)] = build_space(GroupSpec(family, level))
+    return _cache[(family, level)]
+
+
+def export_digest(family, level):
+    """SHA-256 of the export document exactly as ``mixsym export`` writes it."""
+    doc = space_to_dict(_space(family, level))
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def matrix_digest(family, level, what):
+    """SHA-256 of a named matrix with every entry written as an exact rational."""
+    sp = _space(family, level)
+    if what == "six_mat":
+        name, mat = what, dualpair.pairing_matrix(sp).six_mat
+    else:
+        op = {"T2": lambda: hecke.hecke_operator(sp, 2),
+              "T3": lambda: hecke.hecke_operator(sp, 3),
+              "W": lambda: hecke.atkin_lehner(sp),
+              "conj": lambda: hecke.complex_conjugation(sp)}[what]()
+        name, mat = op.name, op.mat
+    rows = [[str(Fraction(x)) for x in row] for row in mat]
+    text = json.dumps({"name": name, "mat": rows}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,level", sorted(EXPORT_DIGESTS))
+def test_export_golden(family, level):
+    assert export_digest(family, level) == EXPORT_DIGESTS[(family, level)]
+
+
+@pytest.mark.parametrize("family,level,what", sorted(MATRIX_DIGESTS))
+def test_matrix_golden(family, level, what):
+    assert matrix_digest(family, level, what) == MATRIX_DIGESTS[(family, level, what)]
+
+
+if __name__ == "__main__":
+    for key in EXPORT_DIGESTS:
+        print(f"    {key!r}: \"{export_digest(*key)}\",")
+    for key in MATRIX_DIGESTS:
+        print(f"    {key!r}: \"{matrix_digest(*key)}\",")

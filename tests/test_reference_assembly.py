@@ -1,0 +1,171 @@
+"""Operator and pairing assembly against dense reduce_pair reference routes.
+
+The library builds operators on the free generators selected by ``lift`` and
+reads the pairing's corner symbols off ``project``.  The reference routes
+below evaluate every ambient generator and multiply by ``lift`` densely, or
+reduce every corner symbol with ``reduce_pair``; both must agree exactly.
+"""
+
+import dataclasses
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from mixsym import dualpair, hecke
+from mixsym.mms import build_space, reduce_pair
+from mixsym.sl2 import MAT_S, MAT_T, MAT_TAU, GroupSpec, mmul
+from mixsym.zlattice import mat_mul
+
+LEVELS = [("gamma0", 11), ("gamma0", 25), ("gamma0", 36), ("gamma1", 7),
+          ("gamma1", 13)]
+
+
+def _space(family, level, _cache={}):
+    if (family, level) not in _cache:
+        _cache[(family, level)] = build_space(GroupSpec(family, level))
+    return _cache[(family, level)]
+
+
+def dense_operator(space, fn):
+    """lift * (fn of every ambient generator), the pre-selection route."""
+    ambient = [fn(g, gp) for g, gp in hecke.generator_pairs(space)]
+    return mat_mul(space.quotient.lift, ambient)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Record each operator_from_pair_map result with its dense reference."""
+    seen = []
+    assemble = hecke.operator_from_pair_map
+
+    def wrapper(space, fn, name):
+        op = assemble(space, fn, name)
+        seen.append((name, op.mat, dense_operator(space, fn)))
+        return op
+
+    monkeypatch.setattr(hecke, "operator_from_pair_map", wrapper)
+    return seen
+
+
+def _diamond_unit(level):
+    return next(d for d in range(2, level + 2) if gcd(d, level) == 1)
+
+
+@pytest.mark.parametrize("family,level", LEVELS)
+def test_operators_match_dense_route(recorded, family, level):
+    sp = _space(family, level)
+    d = _diamond_unit(level)
+    ops = [hecke.hecke_operator(sp, q) for q in (2, 3, 5)]
+    ops += [hecke.atkin_lehner(sp), hecke.complex_conjugation(sp),
+            hecke.diamond(sp, d)]
+    names = {name for name, _, _ in recorded}
+    assert {"W" + str(level), "conj"} <= names
+    if family == "gamma1":
+        assert f"diamond({d})" in names
+    for name, mat, ref in recorded:
+        assert mat == ref, name
+    for op in ops[:3]:
+        assert any(op.mat == mat for _, mat, _ in recorded), op.name
+
+
+@pytest.mark.parametrize("family,level", [("gamma0", 25), ("gamma1", 7)])
+def test_assembly_does_not_assume_a_selection(recorded, family, level):
+    """A lift whose rows mix several generators still gives the right matrix."""
+    sp = _space(family, level)
+    q = sp.quotient
+    assert sp.rank >= 2
+    # new basis: lift' = U * lift, project' = project * U^-1, U = I - 2 E_10,
+    # so row 1 of lift' has a coefficient -2
+    lift = [list(row) for row in q.lift]
+    lift[1] = [x - 2 * y for x, y in zip(lift[1], lift[0])]
+    project = [[row[0] + 2 * row[1]] + list(row[1:]) for row in q.project]
+    mixed = dataclasses.replace(
+        sp, quotient=dataclasses.replace(q, lift=lift, project=project))
+    assert mat_mul(lift, project) == mat_mul(q.lift, q.project)
+    assert -2 in mixed.quotient.lift[1]
+    hecke.hecke_operator(mixed, 3)
+    hecke.complex_conjugation(mixed)
+    hecke.atkin_lehner(mixed)
+    assert recorded
+    for name, mat, ref in recorded:
+        assert mat == ref, name
+
+
+@pytest.mark.parametrize("family,level", LEVELS)
+def test_integral_route_returns_plain_ints(family, level):
+    sp = _space(family, level)
+    for q in (3, 5, 7):
+        if (2 * level) % q:
+            op = hecke.hecke_operator(sp, q)
+            assert all(type(x) is int for row in op.mat for x in row), q
+
+
+def _corner_symbols(space, i):
+    """({gS,g}, {gTS,gT}, {g,gT}, {g,gS}) at coset i, each via reduce_pair."""
+    g = space.cosets.reps[i]
+    gt = mmul(g, MAT_T)
+    return (reduce_pair(space, mmul(g, MAT_S), g),
+            reduce_pair(space, mmul(gt, MAT_S), gt),
+            reduce_pair(space, g, gt),
+            reduce_pair(space, g, mmul(g, MAT_S)))
+
+
+def pairing_reference(space):
+    r = space.rank
+    six = [[0] * r for _ in range(r)]
+    for i in range(space.n_manin):
+        a, b, c, d = _corner_symbols(space, i)
+        for u in range(r):
+            for v in range(r):
+                six[u][v] += (a[u] * b[v] - b[u] * a[v]
+                              - 4 * c[u] * d[v] + 4 * d[u] * c[v])
+    return six
+
+
+def _tau(space, i):
+    return space.cosets.coset_of(mmul(space.cosets.reps[i], MAT_TAU))[0]
+
+
+def lambda_reference(space, phi):
+    out = []
+    for g in space.cosets.reps:
+        row = reduce_pair(space, mmul(g, MAT_S), g)
+        out.append(sum(x * y for x, y in zip(row, phi)))
+    return out
+
+
+def cycle_reference(space, lam):
+    out = [Fraction(0)] * space.rank
+    for i, g in enumerate(space.cosets.reps):
+        t1 = _tau(space, i)
+        g2 = space.cosets.reps[_tau(space, t1)]
+        row_a = reduce_pair(space, mmul(g, MAT_S), g)
+        row_b = reduce_pair(space, mmul(g2, MAT_S), g2)
+        cg = reduce_pair(space, g, mmul(g, MAT_T))
+        out = [x + Fraction(lam[t1], 6) * (a - b) - Fraction(2 * lam[i], 3) * c
+               for x, a, b, c in zip(out, row_a, row_b, cg)]
+    return out
+
+
+@pytest.mark.parametrize("family,level", LEVELS)
+def test_pairing_matches_corner_symbol_route(family, level):
+    sp = _space(family, level)
+    pm = dualpair.pairing_matrix(sp)
+    ref = pairing_reference(sp)
+    assert pm.six_mat == ref
+    assert all(type(x) is int for row in pm.six_mat for x in row)
+    assert pm.mat == [[Fraction(x, 6) for x in row] for row in ref]
+
+
+@pytest.mark.parametrize("family,level", LEVELS)
+def test_lambda_and_cycle_match_corner_symbol_route(family, level):
+    sp = _space(family, level)
+    basis = dualpair.dual_cuspless_basis(sp)
+    assert basis
+    for i in range(sp.n_manin):
+        assert dualpair._tau_action(sp, i) == _tau(sp, i)
+    for phi in basis:
+        lam = dualpair.lambda_from_dual(sp, phi)
+        assert lam == lambda_reference(sp, phi)
+        assert dualpair.lambda_to_mms(sp, lam) == cycle_reference(sp, lam)
