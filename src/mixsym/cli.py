@@ -12,18 +12,21 @@ emitted with status "report" and only fail the run under --strict.
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .sl2 import GroupSpec, InvalidSpecError
-from .mms import (build_space, cusp_cokernel_invariants, expected_homology_index,
+from .mms import (DocumentMismatchError, InvalidInputError, build_space,
+                  cusp_cokernel_invariants, expected_homology_index,
                   expected_manin_index, homology_index_in_kernel,
                   kernel_pi_invariants, manin_index, space_from_dict,
                   space_to_dict)
 from . import classical, dualpair, eis, hecke
-from .zlattice import common_denominator, mat_mul, mat_scale, scale_to_int
+from .zlattice import (common_denominator, factor, mat_mul, mat_scale,
+                       scale_to_int)
 
 DEFAULT_LEVELS = [5, 7, 11, 13]
 DEFAULT_PRIMES = [2, 3, 5, 7]
@@ -219,7 +222,7 @@ SUITES = {
 
 def run_verify(args):
     tol = args.tol if args.tol is not None else \
-        float(os.environ.get("MMS_TOL", eis.DEFAULT_TOL))
+        _tolerance(os.environ.get("MMS_TOL", str(eis.DEFAULT_TOL)))
     levels = args.levels or DEFAULT_LEVELS
     primes = args.primes or DEFAULT_PRIMES
     pn_list = args.pn or DEFAULT_PN
@@ -284,13 +287,51 @@ def run_import(args):
     except OSError as e:
         print(f"error: cannot read {args.path}: {e}", file=sys.stderr)
         return 3
-    space = space_from_dict(doc)
+    try:
+        space = space_from_dict(doc)
+    except DocumentMismatchError as e:
+        print(f"mismatch: {args.path}: {e}", file=sys.stderr)
+        return 1
+    except (InvalidInputError, InvalidSpecError) as e:
+        print(f"error: {args.path}: {e}", file=sys.stderr)
+        return 2
     print(f"ok: {space.spec.label()} rank {space.rank}")
     return 0
 
 
 def _int_list(s):
-    return [int(x) for x in s.split(",") if x]
+    try:
+        return [int(x) for x in s.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {s!r}") from None
+
+
+def _prime_list(s):
+    qs = _int_list(s)
+    bad = [q for q in qs if factor(q) != {q: 1}]
+    if bad:
+        raise argparse.ArgumentTypeError(f"not prime: {bad}")
+    return qs
+
+
+def _odd_prime_power_list(s):
+    ms = _int_list(s)
+    bad = [m for m in ms if _odd_prime_base(m) is None]
+    if bad:
+        raise argparse.ArgumentTypeError(f"not an odd prime power: {bad}")
+    return ms
+
+
+def _tolerance(s):
+    try:
+        tol = float(s)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite positive number, got {s!r}")
+    return tol
 
 
 def build_parser():
@@ -305,11 +346,12 @@ def build_parser():
     v.add_argument("--family", choices=["gamma0", "gamma1"], default="gamma0")
     v.add_argument("--levels", type=_int_list, default=None,
                    help="comma-separated levels")
-    v.add_argument("--primes", type=_int_list, default=None,
+    v.add_argument("--primes", type=_prime_list, default=None,
                    help="comma-separated Hecke primes")
-    v.add_argument("--pn", type=_int_list, default=None,
+    v.add_argument("--pn", type=_odd_prime_power_list, default=None,
                    help="comma-separated odd prime powers for the eis suite")
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--tol", type=_tolerance, default=None,
+                   help="finite positive tolerance (default: $MMS_TOL or 1e-8)")
     v.add_argument("--strict", action="store_true",
                    help="fail on conjecture-level mismatches too")
     v.add_argument("--out", default=None)
@@ -334,7 +376,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidSpecError, ValueError) as e:
+    except (InvalidSpecError, ValueError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ and the quotient is taken torsion-free.  The rank of the result must equal
 completeness of this presentation into a per-level certificate.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -31,6 +32,10 @@ class PresentationError(Exception):
 
 class InvalidInputError(Exception):
     """Raised for inputs outside an operation's domain."""
+
+
+class DocumentMismatchError(InvalidInputError):
+    """A well-formed serialized space that differs from a fresh build."""
 
 
 @dataclass
@@ -357,10 +362,54 @@ def space_to_dict(space):
     }
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _is_decimal(x):
+    return isinstance(x, str) and _DECIMAL.fullmatch(x) is not None
+
+
+def _is_matrix(v):
+    return isinstance(v, list) and all(
+        isinstance(row, list) and all(map(_is_decimal, row)) for row in v)
+
+
+def _is_cusp(c):
+    return (isinstance(c, dict) and set(c) == {"rep", "width"}
+            and isinstance(c["rep"], str) and _is_decimal(c["width"]))
+
+
+# the shape of each value space_to_dict writes
+_DOCUMENT_SHAPE = {
+    "family": lambda v: isinstance(v, str),
+    "level": _is_decimal,
+    "cosets": _is_matrix,
+    "cusps": lambda v: isinstance(v, list) and all(map(_is_cusp, v)),
+    "basis_rank": _is_decimal,
+    "project": _is_matrix,
+    "lift": _is_matrix,
+    "pi": _is_matrix,
+    "boundary": _is_matrix,
+    "torsion": lambda v: isinstance(v, list) and all(map(_is_decimal, v)),
+}
+
+
 def space_from_dict(doc):
-    """Rebuild a space from its serialized document and verify consistency."""
+    """Rebuild a space from its serialized document and verify consistency.
+
+    Raises InvalidInputError for a document without the shape space_to_dict
+    writes, InvalidSpecError for a bad family or level, and
+    DocumentMismatchError when the document differs from a fresh build.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidInputError("document must be a JSON object")
+    if set(doc) != set(_DOCUMENT_SHAPE):
+        raise InvalidInputError(f"document keys must be {sorted(_DOCUMENT_SHAPE)}")
+    bad = [k for k, ok in _DOCUMENT_SHAPE.items() if not ok(doc[k])]
+    if bad:
+        raise InvalidInputError(f"ill-typed document keys: {bad}")
     spec = GroupSpec(doc["family"], int(doc["level"]))
     space = build_space(spec)
     if space_to_dict(space) != doc:
-        raise InvalidInputError("document does not match a freshly built space")
+        raise DocumentMismatchError("document does not match a freshly built space")
     return space

@@ -104,22 +104,6 @@ def _units(n):
     return [u for u in range(1, n + 1) if gcd(u, n) == 1] if n > 1 else [1]
 
 
-def _coset_key(spec, c, d):
-    """Canonical label of the coset containing a matrix with bottom row (c, d).
-
-    For gamma0 this is the lexicographically least unit multiple of
-    (c, d) mod N; for gamma1 the least of +-(c, d) mod N.
-    """
-    n = spec.level
-    if spec.family == "full" or n == 1:
-        return (0, 0)
-    c %= n
-    d %= n
-    if spec.family == "gamma0":
-        return min(((u * c) % n, (u * d) % n) for u in _units(n))
-    return min((c, d), ((-c) % n, (-d) % n))
-
-
 def _lift_bottom_row(n, c, d):
     """A matrix in SL2(Z) whose bottom row is congruent to (c, d) mod n."""
     if n == 1:
@@ -143,13 +127,15 @@ def _lift_bottom_row(n, c, d):
 class CosetTable:
     """Right cosets Gamma\\SL2(Z) with a fixed list of representatives.
 
-    ``action[name][i]`` is the index of coset i right-multiplied by the
-    generator ``name`` in ("S", "T", "Tinv", "U").
+    ``index_of[(c % N) * N + d % N]`` is the index of the coset of the
+    matrices with bottom row (c, d), and None when (c, d) is not primitive
+    mod N.  ``action[name][i]`` is the index of coset i right-multiplied by
+    the generator ``name`` in ("S", "T", "Tinv", "U").
     """
 
     spec: GroupSpec
     reps: list
-    key_to_index: dict
+    index_of: list
     action: dict = field(default_factory=dict)  # name -> list of (idx', gamma, sign)
 
     @property
@@ -160,7 +146,8 @@ class CosetTable:
         """Return (i, gamma, sign) with sign*g == gamma * reps[i], gamma in Gamma."""
         if det(g) != 1:
             raise InvalidSpecError("matrix must have determinant 1")
-        i = self.key_to_index[_coset_key(self.spec, g[2], g[3])]
+        n = self.spec.level
+        i = self.index_of[g[2] % n * n + g[3] % n]
         gamma = mmul(g, minv(self.reps[i]))
         sign = 1
         if self.spec.family == "gamma1" and self.spec.level > 2:
@@ -184,19 +171,26 @@ _GENERATOR_MATS = {"S": MAT_S, "T": MAT_T, "Tinv": MAT_T_INV, "U": MAT_U,
 
 
 def enumerate_cosets(spec):
-    """Deterministic coset table for Gamma\\SL2(Z), sorted by coset label."""
+    """Deterministic coset table for Gamma\\SL2(Z), sorted by coset label.
+
+    A coset is labelled by the lexicographically least element of the orbit
+    of its bottom row (c, d) mod N under the units: all of them for gamma0,
+    +-1 for gamma1.  Walking the pairs in lexicographic order meets each
+    orbit first at its label, so one pass numbers the cosets in label order
+    and fills ``index_of`` on the whole orbit (the P^1(Z/N) table of
+    Cremona, Algorithms for Modular Elliptic Curves, section 2.2).
+    """
     n = spec.level
-    keys = set()
-    if spec.family == "full" or n == 1:
-        keys.add((0, 0))
-    else:
-        for c in range(n):
-            for d in range(n):
-                if gcd(gcd(c, d), n) == 1:
-                    keys.add(_coset_key(spec, c, d))
-    ordered = sorted(keys)
-    reps = [_lift_bottom_row(n, c, d) for c, d in ordered]
-    table = CosetTable(spec, reps, {k: i for i, k in enumerate(ordered)})
+    units = (1, n - 1) if spec.family == "gamma1" else _units(n)
+    index_of = [None] * (n * n)
+    reps = []
+    for c in range(n):
+        for d in range(n):
+            if index_of[c * n + d] is None and gcd(gcd(c, d), n) == 1:
+                for u in units:
+                    index_of[u * c % n * n + u * d % n] = len(reps)
+                reps.append(_lift_bottom_row(n, c, d))
+    table = CosetTable(spec, reps, index_of)
     for name, m in _GENERATOR_MATS.items():
         table.action[name] = [table.coset_of(mmul(rep, m)) for rep in reps]
     return table

@@ -1,8 +1,11 @@
 """The command-line interface: suites, serialization, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixsym.cli import main
 
@@ -11,6 +14,17 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _exit(argv):
+    """(exit code, stderr) of main(argv), counting an argparse exit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
 
 
 class TestVerify:
@@ -143,8 +157,78 @@ class TestExitCodes:
         code, _, err = _run(capsys, ["import", "/nonexistent/space.json"])
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "hecke", "--levels", "11", "--primes", "4"],
+        ["--suite", "hecke", "--levels", "11", "--primes", "9"],
+        ["--suite", "hecke", "--primes", "0"],
+        ["--suite", "eis", "--pn", "15"],
+        ["--suite", "eis", "--tol", "nan"],
+    ], ids=["primes-4", "primes-9", "primes-0", "pn-15", "tol-nan"])
+    def test_usage_error_at_parser(self, argv):
+        code, err = _exit(["verify"] + argv)
+        assert code == 2
+        assert "error: argument" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [{}, [1]], ids=["empty", "list"])
+    def test_import_malformed_document(self, tmp_path, doc):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        code, err = _exit(["import", str(path)])
+        assert code == 2 and err.startswith("error:")
+
+    def _exported(self, tmp_path):
+        path = tmp_path / "space.json"
+        assert _exit(["export", "--family", "gamma0", "--level", "11",
+                      "--out", str(path)])[0] == 0
+        return path, json.loads(path.read_text())
+
+    def test_import_ill_typed_level(self, tmp_path):
+        path, doc = self._exported(tmp_path)
+        doc["level"] = "x"
+        path.write_text(json.dumps(doc))
+        code, err = _exit(["import", str(path)])
+        assert code == 2 and err.startswith("error:")
+
+    def test_import_mismatch(self, tmp_path):
+        path, doc = self._exported(tmp_path)
+        doc["lift"][0][0] = str(int(doc["lift"][0][0]) + 1)
+        path.write_text(json.dumps(doc))
+        code, err = _exit(["import", str(path)])
+        assert code == 1 and err.startswith("mismatch")
+
     def test_io_error_unwritable_out(self, capsys):
         code, _, err = _run(capsys, ["verify", "--suite", "rank",
                                      "--levels", "5",
                                      "--out", "/nonexistent/dir/report.json"])
         assert code == 3 and "error" in err
+
+
+_JUNK = st.sampled_from(["", ",", "x", "1.5", "-", "nan", "inf", "1e999", "2,,3"])
+
+
+def _ints(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def _verify_argv(draw):
+    argv = ["verify", "--suite",
+            draw(st.sampled_from(["rank", "manin", "hecke", "pairing", "eis", "all"])),
+            "--family", draw(st.sampled_from(["gamma0", "gamma1"])),
+            "--levels", ",".join(map(str, draw(
+                st.lists(st.integers(1, 13), min_size=1, max_size=2))))]
+    for flag, values in (("--primes", _ints(-3, 30)), ("--pn", _ints(-3, 60)),
+                         ("--tol", st.floats(allow_nan=True).map(repr))):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.one_of(values, _JUNK))]
+    return argv
+
+
+class TestContractFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(_verify_argv())
+    def test_exit_code_and_no_traceback(self, argv):
+        code, err = _exit(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

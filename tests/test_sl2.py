@@ -1,6 +1,8 @@
 """Coset, cusp, and word combinatorics in SL2(Z)."""
 
 import random
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -104,6 +106,71 @@ class TestCosets:
                 prod = mmul(rep, gen)
                 lhs = mneg(prod) if sign == -1 else prod
                 assert lhs == mmul(gamma, table.reps[j])
+
+
+@lru_cache(maxsize=None)
+def _reference_units(n):
+    return [u for u in range(1, n + 1) if gcd(u, n) == 1] if n > 1 else [1]
+
+
+def _reference_coset_key(spec, c, d):
+    """Reference coset label, computed per call as a minimum over units.
+
+    For gamma0 the lexicographically least unit multiple of (c, d) mod N;
+    for gamma1 the least of +-(c, d) mod N.
+    """
+    n = spec.level
+    if spec.family == "full" or n == 1:
+        return (0, 0)
+    c %= n
+    d %= n
+    if spec.family == "gamma0":
+        return min(((u * c) % n, (u * d) % n) for u in _reference_units(n))
+    return min((c, d), ((-c) % n, (-d) % n))
+
+
+TABLE_LEVELS = ([("gamma0", n) for n in list(range(1, 61)) + [100, 101, 121, 128]]
+                + [("gamma1", n) for n in range(1, 31)])
+
+
+@lru_cache(maxsize=None)
+def _table(family, level):
+    return enumerate_cosets(GroupSpec(family, level))
+
+
+class TestCosetTable:
+    """The P^1(Z/N) orbit table against the minimum over unit multiples."""
+
+    @pytest.mark.parametrize("family,level", TABLE_LEVELS)
+    def test_reps_are_sorted_reference_keys(self, family, level):
+        spec = GroupSpec(family, level)
+        keys = sorted({_reference_coset_key(spec, c, d)
+                       for c in range(level) for d in range(level)
+                       if gcd(gcd(c, d), level) == 1})
+        reps = _table(family, level).reps
+        assert [(r[2] % level, r[3] % level) for r in reps] == keys
+
+    @pytest.mark.parametrize("family,level", TABLE_LEVELS)
+    def test_coset_of_matches_reference(self, family, level):
+        spec = GroupSpec(family, level)
+        table = _table(family, level)
+        bottom = {(r[2] % level, r[3] % level): i for i, r in enumerate(table.reps)}
+        rng = random.Random(level)
+        for _ in range(200):
+            g = random_unimodular(rng)
+            assert table.coset_of(g)[0] == bottom[_reference_coset_key(spec, g[2], g[3])]
+
+    @pytest.mark.parametrize("family,level", TABLE_LEVELS)
+    def test_labels_exactly_the_primitive_pairs(self, family, level):
+        index_of = _table(family, level).index_of
+        assert len(index_of) == level * level
+        for c in range(level):
+            for d in range(level):
+                label = index_of[c * level + d]
+                if gcd(gcd(c, d), level) == 1:
+                    assert label is not None
+                else:
+                    assert label is None
 
 
 class TestCusps:
