@@ -223,9 +223,9 @@ SUITES = {
 def run_verify(args):
     tol = args.tol if args.tol is not None else \
         _tolerance(os.environ.get("MMS_TOL", str(eis.DEFAULT_TOL)))
-    levels = args.levels or DEFAULT_LEVELS
-    primes = args.primes or DEFAULT_PRIMES
-    pn_list = args.pn or DEFAULT_PN
+    levels = DEFAULT_LEVELS if args.levels is None else args.levels
+    primes = DEFAULT_PRIMES if args.primes is None else args.primes
+    pn_list = DEFAULT_PN if args.pn is None else args.pn
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     rep = Reporter(args.suite)
     kwargs = {"family": args.family, "primes": primes,
@@ -301,10 +301,13 @@ def run_import(args):
 
 def _int_list(s):
     try:
-        return [int(x) for x in s.split(",") if x]
+        xs = [int(x) for x in s.split(",") if x]
     except ValueError:
+        xs = []
+    if not xs:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {s!r}") from None
+            f"expected comma-separated integers, got {s!r}")
+    return xs
 
 
 def _prime_list(s):

@@ -20,6 +20,7 @@ map of the symbol lattice becomes an isomorphism over R at prime-power level.
 """
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -192,17 +193,28 @@ def l_even_char_at_1(chi, route="log"):
                 for a in range(1, f) if gcd(a, f) == 1)
         return -tau / f * s
     if route == "series":
+        psi = _digamma_table(f)
         with mpmath.workdps(30):
             total = mpmath.mpc(0)
-            for a in range(1, f):
-                if gcd(a, f) == 1:
-                    total += mpmath.mpc(chi(a)) * mpmath.digamma(
-                        mpmath.mpf(a) / f)
+            for a, psi_a in psi.items():
+                total += mpmath.mpc(chi(a)) * psi_a
             val = -total / f
         return complex(val)
     if route == "partial":
         return _l_partial_sums(chi)
     raise CharacterError(f"unknown route {route!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _digamma_table(f):
+    """psi(a/f) at 30 digits for each unit a modulo f, in increasing order of a.
+
+    The values depend on the conductor alone, so all characters of
+    conductor f share one table.
+    """
+    with mpmath.workdps(30):
+        return {a: mpmath.digamma(mpmath.mpf(a) / f)
+                for a in range(1, f) if gcd(a, f) == 1}
 
 
 def _l_partial_sums(chi):
@@ -274,10 +286,8 @@ def log_cyclotomic_matrices(pn):
     inv = {x: pow(x, -1, pn) for x in reps}
     mprime = np.array([[_log_entry(pn, inv[x] * y % pn) for y in reps]
                        for x in reps])
-    sub = [x for x in reps if x != 1]
-    msec = np.array([[_log_entry(pn, inv[x] * y % pn)
-                      - _log_entry(pn, inv[x] % pn) for y in sub]
-                     for x in sub])
+    # reps[0] == 1, so column 0 of M' holds the row shift -log|1 - e(x^-1/p^n)|
+    msec = mprime[1:, 1:] - mprime[1:, :1]
     return mprime, msec
 
 

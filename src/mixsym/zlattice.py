@@ -305,18 +305,31 @@ def sublattice_index(gens_a, gens_b):
     """Index of the lattice spanned by ``gens_b`` inside the one spanned by ``gens_a``.
 
     Returns ``math.inf`` when the ranks differ; raises LatticeError when some
-    generator of B does not lie in the lattice A.
+    generator of B does not lie in the lattice A.  The basis of A is its HNF,
+    echelon rows with positive pivots, so the coordinates of each generator
+    are found by integer back-substitution at the pivot columns.
     """
     ha, _ = hnf(gens_a)
     basis = [row for row in ha if any(row)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     coords = []
     for row in gens_b:
-        x = solve_rational(basis, row)
-        if x is None:
+        if basis and len(row) != len(basis[0]):
+            raise LatticeError("dimension mismatch")
+        res = list(row)
+        x = []
+        for brow, j in zip(basis, pivots):
+            q, rem = divmod(res[j], brow[j])
+            if rem:
+                where = "span of" if solve_rational(basis, row) is None \
+                    else "lattice"
+                raise LatticeError(f"generator outside the {where} A")
+            if q:
+                res = [r - q * y for r, y in zip(res, brow)]
+            x.append(q)
+        if any(res):
             raise LatticeError("generator outside the span of A")
-        if any(c.denominator != 1 for c in x):
-            raise LatticeError("generator outside the lattice A")
-        coords.append([int(c) for c in x])
+        coords.append(x)
     invs = snf(coords).invariants
     if len(invs) < len(basis):
         return inf

@@ -163,7 +163,11 @@ class TestExitCodes:
         ["--suite", "hecke", "--primes", "0"],
         ["--suite", "eis", "--pn", "15"],
         ["--suite", "eis", "--tol", "nan"],
-    ], ids=["primes-4", "primes-9", "primes-0", "pn-15", "tol-nan"])
+        ["--suite", "rank", "--levels", ","],
+        ["--suite", "hecke", "--levels", "5", "--primes", ","],
+        ["--suite", "eis", "--pn", ","],
+    ], ids=["primes-4", "primes-9", "primes-0", "pn-15", "tol-nan",
+            "levels-empty", "primes-empty", "pn-empty"])
     def test_usage_error_at_parser(self, argv):
         code, err = _exit(["verify"] + argv)
         assert code == 2

@@ -4,7 +4,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+
+from mixsym import eis
 
 from mixsym.eis import (CharacterError, UnsupportedModulusError, bernoulli2,
                         characters_mod, eis_component, gamma0p_constants,
@@ -93,7 +97,70 @@ class TestGaussAndL:
         assert abs(v - ref) < 1e-4 * abs(ref)
 
 
+def _series_reference(chi):
+    """L(chi, 1) by the digamma series with one digamma call per term."""
+    f = chi.modulus
+    with mpmath.workdps(30):
+        total = mpmath.mpc(0)
+        for a in range(1, f):
+            if math.gcd(a, f) == 1:
+                total += mpmath.mpc(chi(a)) * mpmath.digamma(mpmath.mpf(a) / f)
+        val = -total / f
+    return complex(val)
+
+
+def _primitive_even(m):
+    return [c for c in characters_mod(m) if c.is_even and not c.is_trivial
+            and c.conductor == m]
+
+
+class TestDigammaTable:
+    @pytest.mark.parametrize("m", [25, 27, 49, 125])
+    def test_series_bit_identical_to_per_term_digamma(self, m):
+        chars = _primitive_even(m)
+        assert chars
+        for chi in chars:
+            assert l_even_char_at_1(chi, route="series") == _series_reference(chi)
+
+    def test_cache_hit_across_moduli(self):
+        eis._digamma_table.cache_clear()
+        alone = [l_even_char_at_1(c, route="series") for c in _primitive_even(13)]
+        eis._digamma_table.cache_clear()
+        for chi in characters_mod(169):
+            if chi.is_even and not chi.is_trivial:
+                l_even_char_at_1(chi.primitive_part(), route="series")
+        assert eis._digamma_table.cache_info().currsize == 2
+        after = [l_even_char_at_1(c, route="series") for c in _primitive_even(13)]
+        assert after == alone
+        assert alone == [_series_reference(c) for c in _primitive_even(13)]
+
+
+def _matrices_reference(pn):
+    """M' and M'' with every entry of M'' evaluated on its own."""
+    reps = [x for x in range(1, (pn + 1) // 2) if math.gcd(x, pn) == 1]
+    inv = {x: pow(x, -1, pn) for x in reps}
+
+    def entry(e):
+        return -math.log(abs(1 - cmath.exp(2j * cmath.pi * e / pn)))
+
+    mprime = np.array([[entry(inv[x] * y % pn) for y in reps] for x in reps])
+    sub = [x for x in reps if x != 1]
+    msec = np.array([[entry(inv[x] * y % pn) - entry(inv[x] % pn) for y in sub]
+                     for x in sub])
+    return mprime, msec
+
+
 class TestLogDeterminants:
+    @pytest.mark.parametrize("pn", [3, 5, 7, 9, 13, 25, 27, 49, 121])
+    def test_matrices_equal_entrywise_assembly(self, pn):
+        mprime, msec = log_cyclotomic_matrices(pn)
+        ref_prime, ref_sec = _matrices_reference(pn)
+        assert np.array_equal(mprime, ref_prime)
+        if ref_sec.size:
+            assert np.array_equal(msec, ref_sec)
+        else:
+            assert msec.size == 0
+
     def test_matrix_shapes(self):
         mprime, msec = log_cyclotomic_matrices(25)
         assert mprime.shape == (10, 10)

@@ -1,19 +1,25 @@
-"""Golden regression digests for exports, operators and the pairing.
+"""Golden regression digests for exports, operators, the pairing and reports.
 
 The digests were recorded from a known-good build; any change to coset
-order, basis choice or operator assembly changes them.  To print fresh
+order, basis choice or operator assembly changes them.  The report digests
+cover the full JSON stdout of ``mixsym verify``, so they also pin the
+``lhs=... rhs=... rel_error=...`` details of the eis suite and the index
+values of the lattice checks, byte for byte.  To print fresh
 digests (only after confirming the new output is right), run
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
 from mixsym import dualpair, hecke
+from mixsym.cli import main
 from mixsym.mms import build_space, space_to_dict
 from mixsym.sl2 import GroupSpec
 
@@ -51,6 +57,14 @@ MATRIX_DIGESTS = {
         "fd48cc4f9143f0d8d5d596b5ea12de98fc0df8e653360dd032023cc77059b654",
 }
 
+REPORT_DIGESTS = {
+    ("verify", "--suite", "eis", "--pn", "27,49,81,121,125,169"):
+        "78042f603c16b29ea356c0cbc41f11e59972cb0634d9cb4983ece810366231d2",
+    ("verify", "--suite", "all", "--family", "gamma1",
+     "--levels", "5,7,11,13"):
+        "17477308d90db55e7385594b59d4de6c8b010d5fbbaae1dbeb795774524e5af5",
+}
+
 
 def _space(family, level, _cache={}):
     if (family, level) not in _cache:
@@ -81,6 +95,15 @@ def matrix_digest(family, level, what):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def report_digest(argv):
+    """SHA-256 of the stdout of ``mixsym`` run with ``argv``; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("family,level", sorted(EXPORT_DIGESTS))
 def test_export_golden(family, level):
     assert export_digest(family, level) == EXPORT_DIGESTS[(family, level)]
@@ -91,8 +114,15 @@ def test_matrix_golden(family, level, what):
     assert matrix_digest(family, level, what) == MATRIX_DIGESTS[(family, level, what)]
 
 
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_report_golden(argv):
+    assert report_digest(argv) == REPORT_DIGESTS[argv]
+
+
 if __name__ == "__main__":
     for key in EXPORT_DIGESTS:
         print(f"    {key!r}: \"{export_digest(*key)}\",")
     for key in MATRIX_DIGESTS:
         print(f"    {key!r}: \"{matrix_digest(*key)}\",")
+    for key in REPORT_DIGESTS:
+        print(f"    {key!r}: \"{report_digest(key)}\",")

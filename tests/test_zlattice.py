@@ -129,6 +129,116 @@ class TestKernelSolve:
         assert solve_rational([[1, 0]], [0, 1]) is None
 
 
+def _index_reference(gens_a, gens_b):
+    """sublattice_index by one rational solve per generator of B."""
+    ha, _ = hnf(gens_a)
+    basis = [row for row in ha if any(row)]
+    coords = []
+    for row in gens_b:
+        x = solve_rational(basis, row)
+        if x is None:
+            raise LatticeError("generator outside the span of A")
+        if any(c.denominator != 1 for c in x):
+            raise LatticeError("generator outside the lattice A")
+        coords.append([int(c) for c in x])
+    invs = snf(coords).invariants
+    if len(invs) < len(basis):
+        return inf
+    idx = 1
+    for x in invs:
+        idx *= abs(x)
+    return idx
+
+
+def _outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except LatticeError as e:
+        return str(e)
+
+
+def _random_lattice(rng, rank, cols):
+    """Generators of a rank-``rank`` lattice in Z^cols, with duplicate rows,
+    rows that are combinations of others, and negative entries."""
+    base = random_matrix(rng, rank, cols)
+    while mat_rank(base) < rank:
+        base = random_matrix(rng, rank, cols)
+    gens = [list(r) for r in base]
+    for _ in range(rng.randint(0, 3)):
+        v = [rng.randint(-3, 3) for _ in range(rank)]
+        gens.append(vec_mat(v, base))
+    gens.append(list(rng.choice(base)))
+    rng.shuffle(gens)
+    return base, gens
+
+
+class TestSublatticeIndexAgainstReference:
+    def test_random_pairs(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(400):
+            cols = rng.randint(1, 5)
+            _, a = _random_lattice(rng, rng.randint(1, cols), cols)
+            b = random_matrix(rng, rng.randint(0, 4), cols, -4, 4)
+            got = _outcome(sublattice_index, a, b)
+            assert got == _outcome(_index_reference, a, b)
+            seen.add(got if isinstance(got, str) else type(got))
+        assert seen >= {"generator outside the span of A",
+                        "generator outside the lattice A", int}
+
+    def test_integer_combinations(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            cols = rng.randint(1, 5)
+            rank = rng.randint(1, cols)
+            base, a = _random_lattice(rng, rank, cols)
+            # square x: zlattice.snf is the naive elimination, and its
+            # entries blow up on some 6 x 5 coordinate matrices already
+            x = random_matrix(rng, rank, rank, -4, 4)
+            b = mat_mul(x, base)
+            got = sublattice_index(a, b)
+            assert got == _index_reference(a, b)
+            assert got == (abs(det_rational(x)) or inf)
+
+    def test_fewer_independent_rows_is_infinite(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            cols = rng.randint(2, 5)
+            rank = rng.randint(2, cols)
+            base, a = _random_lattice(rng, rank, cols)
+            x = random_matrix(rng, rank - 1, rank, -4, 4)
+            b = mat_mul(x, base) + [[0] * cols]
+            assert sublattice_index(a, b) == inf == _index_reference(a, b)
+
+    def test_in_rational_span_but_not_in_lattice(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            cols = rng.randint(1, 5)
+            rank = rng.randint(1, cols)
+            base, a = _random_lattice(rng, rank, cols)
+            doubled = [[2 * x for x in row] for row in a]
+            v = [rng.randint(-3, 3) for _ in range(rank)]
+            v[rng.randrange(rank)] = 2 * rng.randint(-3, 3) + 1
+            b = [vec_mat(v, base)]
+            for fn in (sublattice_index, _index_reference):
+                with pytest.raises(LatticeError, match="outside the lattice A"):
+                    fn(doubled, b)
+
+    def test_outside_span(self):
+        rng = random.Random(15)
+        for _ in range(100):
+            cols = rng.randint(2, 5)
+            rank = rng.randint(1, cols - 1)
+            base, a = _random_lattice(rng, rank, cols)
+            row = [rng.randint(-4, 4) for _ in range(cols)]
+            if solve_rational(base, row) is not None:
+                continue
+            b = mat_mul(random_matrix(rng, 2, rank), base) + [row]
+            for fn in (sublattice_index, _index_reference):
+                with pytest.raises(LatticeError, match="outside the span of A"):
+                    fn(a, b)
+
+
 class TestIndexDetCharpoly:
     def test_index_diag(self):
         assert sublattice_index(identity_matrix(2), [[2, 0], [0, 3]]) == 6
@@ -139,6 +249,10 @@ class TestIndexDetCharpoly:
     def test_index_outside(self):
         with pytest.raises(LatticeError):
             sublattice_index([[2, 0], [0, 2]], [[1, 0], [0, 1]])
+
+    def test_index_dimension_mismatch(self):
+        with pytest.raises(LatticeError, match="dimension mismatch"):
+            sublattice_index(identity_matrix(2), [[1, 0, 0]])
 
     def test_det(self):
         assert det_rational([[1, 2], [3, 4]]) == -2
