@@ -33,19 +33,13 @@ DEFAULT_PRIMES = [2, 3, 5, 7]
 DEFAULT_PN = [5, 7, 9, 11, 13, 25]
 
 
-def _fmt(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
 class Reporter:
     def __init__(self, suite):
         self.suite = suite
         self.items = []
 
     def add(self, item_id, status, detail):
-        self.items.append({"id": item_id, "status": status, "detail": _fmt(detail)})
+        self.items.append({"id": item_id, "status": status, "detail": detail})
 
     def check(self, item_id, ok, detail=""):
         self.add(item_id, "pass" if ok else "fail", detail)
@@ -220,6 +214,20 @@ SUITES = {
 }
 
 
+def _write(text, path):
+    """Write ``text`` to ``path``, or to stdout when it is None; 3 on OSError, else 0."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def run_verify(args):
     tol = args.tol if args.tol is not None else \
         _tolerance(os.environ.get("MMS_TOL", str(eis.DEFAULT_TOL)))
@@ -228,30 +236,18 @@ def run_verify(args):
     pn_list = DEFAULT_PN if args.pn is None else args.pn
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     rep = Reporter(args.suite)
+    # every suite takes **_, so all of them get the same keywords; the spaces
+    # are built once and shared, unless the eis suite, which needs none, runs alone
     kwargs = {"family": args.family, "primes": primes,
-              "pn_list": pn_list, "tol": tol, "strict": args.strict}
+              "pn_list": pn_list, "tol": tol, "strict": args.strict,
+              "spaces": [] if suites == ["eis"] else list(_spaces(args.family, levels))}
     for name in suites:
-        fn = SUITES[name]
-        accepted = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-        if "spaces" in accepted and "spaces" not in kwargs:
-            # built once, at the first suite that needs them, and shared
-            kwargs["spaces"] = list(_spaces(args.family, levels))
-        fn(rep, **{k: v for k, v in kwargs.items() if k in accepted})
+        SUITES[name](rep, **kwargs)
     text = (json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
             if args.format == "json" else rep.to_markdown())
-    if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
+    if _write(text, args.out):
+        return 3
     failures = rep.failed()
-    if args.strict:
-        failures = failures + [i for i in rep.items
-                               if i["status"] == "report" and "MISMATCH" in str(i["detail"])]
     if failures:
         print("failing items:", file=sys.stderr)
         for i in failures:
@@ -267,17 +263,7 @@ def run_export(args):
         print(f"error: {e}", file=sys.stderr)
         return 2
     doc = space_to_dict(build_space(spec))
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def run_import(args):

@@ -34,28 +34,31 @@ combinations of those rows; the only division is the final one by 6.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
-from .mms import InvalidInputError
-from .zlattice import (common_denominator, det_rational, factor, kernel_basis,
-                       lcm_list, mat_mul, mat_scale, mat_transpose,
-                       scale_to_int, snf, vec_mat)
+from .mms import InvalidInputError, expected_homology_index
+from .zlattice import (common_denominator, factor, kernel_basis, lcm_list,
+                       mat_mul, mat_scale, mat_transpose, scale_to_int, snf,
+                       vec_mat)
 
 
 @dataclass
 class PairingMatrix:
     """Gram matrix of the duality pairing on the dual basis.
 
-    ``mat`` has Fraction entries with denominators dividing 6; ``six_mat``
-    is the integer matrix 6 * mat.
+    Stored as the integer matrix ``six_mat``, six times the Gram matrix;
+    ``mat`` is the Gram matrix itself, with Fraction entries.
     """
 
-    mat: list
     six_mat: list
+
+    @property
+    def mat(self):
+        return [[Fraction(x, 6) for x in row] for row in self.six_mat]
 
     def value(self, phi, psi):
         """<phi, psi> for functionals given as rows in the dual basis."""
-        return sum(x * y for x, y in zip(vec_mat(phi, self.mat), psi))
+        return Fraction(sum(x * y for x, y in zip(vec_mat(phi, self.six_mat), psi)), 6)
 
     def is_antisymmetric(self):
         return self.six_mat == mat_scale(-1, mat_transpose(self.six_mat))
@@ -79,46 +82,41 @@ def pairing_matrix(space):
     right += [[-4 * x for x in row] for row in manin]
     k = mat_mul(mat_transpose(left), right)
     six = [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]
-    mat = [[Fraction(x, 6) for x in row] for row in six]
-    return PairingMatrix(mat=mat, six_mat=six)
-
-
-def expected_abs_det(space):
-    """(1/d_Gamma) * product of the cusp widths, the conjectural |det|."""
-    out = Fraction(1, space.cusps.gcd_of_widths)
-    for w in space.cusps.widths:
-        out *= w
-    return out
+    return PairingMatrix(six_mat=six)
 
 
 def fractional_invariants(pairing):
-    """Invariant factors of the Gram matrix as positive rationals."""
-    if not pairing.mat:
+    """Invariant factors of the Gram matrix as positive rationals.
+
+    Those of ``six_mat`` are six times those of the Gram matrix, so one
+    integer Smith form gives them all.
+    """
+    if not pairing.six_mat:
         return []
-    d = common_denominator(pairing.mat)
-    return [Fraction(abs(s), d) for s in snf(scale_to_int(d, pairing.mat)).invariants]
+    return [Fraction(abs(s), 6) for s in snf(pairing.six_mat).invariants]
 
 
 def _prime_support(n):
     return set(factor(n))
 
 
+def _units_after_inverting(invariants, rank, inverted):
+    """Whether all ``rank`` invariant factors are units in Z[1/inverted]."""
+    allowed = _prime_support(inverted)
+    return len(invariants) == rank and all(
+        _prime_support(f.numerator) | _prime_support(f.denominator) <= allowed
+        for f in invariants)
+
+
 def is_perfect_over(pairing, inverted):
     """Whether the pairing is unimodular after inverting the given integer.
 
-    True when every invariant factor becomes a unit in Z[1/inverted], i.e.
-    when all their numerators and denominators only involve primes dividing
-    ``inverted``.
+    True when the pairing is non-degenerate and every invariant factor
+    becomes a unit in Z[1/inverted], i.e. when all their numerators and
+    denominators only involve primes dividing ``inverted``.
     """
-    allowed = _prime_support(inverted)
-    for f in fractional_invariants(pairing):
-        if f == 0:
-            return False
-        if not _prime_support(f.numerator) <= allowed:
-            return False
-        if not _prime_support(f.denominator) <= allowed:
-            return False
-    return True
+    return _units_after_inverting(fractional_invariants(pairing),
+                                  len(pairing.six_mat), inverted)
 
 
 def abs_pfaffian(det):
@@ -136,15 +134,22 @@ def abs_pfaffian(det):
 
 def pairing_kernel(pairing):
     """Basis of the rational radical {phi : phi * P = 0} of the pairing."""
-    if not pairing.mat:
+    if not pairing.six_mat:
         return []
     return kernel_basis(pairing.six_mat)
 
 
 def perfectness_report(space, pairing=None):
-    """Structural facts about the pairing, for reporting and testing."""
+    """Structural facts about the pairing, for reporting and testing.
+
+    Everything is read off one Smith form.  The determinant is the product
+    of the invariant factors, and 0 when there are fewer than ``rank`` of
+    them: an antisymmetric matrix has det = Pf^2 >= 0, so no sign is lost.
+    """
     p = pairing if pairing is not None else pairing_matrix(space)
-    det = det_rational(p.mat)
+    invariants = fractional_invariants(p)
+    det = prod(invariants, start=Fraction(1)) \
+        if len(invariants) == space.rank else Fraction(0)
     inverted = 2 * lcm_list(space.cusps.widths) if space.rank else 2
     return {
         "rank": space.rank,
@@ -153,10 +158,11 @@ def perfectness_report(space, pairing=None):
         "det": det,
         "abs_det": abs(det),
         "abs_pfaffian": abs_pfaffian(det),
-        "expected_abs_det": expected_abs_det(space) if space.rank else Fraction(1),
-        "invariants": fractional_invariants(p),
+        "expected_abs_det": expected_homology_index(space) if space.rank else 1,
+        "invariants": invariants,
         "inverted": inverted,
-        "perfect_after_inverting": is_perfect_over(p, inverted),
+        "perfect_after_inverting": _units_after_inverting(invariants, space.rank,
+                                                          inverted),
         "nondegenerate": det != 0 or space.rank == 0,
     }
 
@@ -191,7 +197,7 @@ def adjointness_check(space, pairing, op, w_op):
 
 def G_map(pairing, phi):
     """Coordinates in the symbol basis of G(phi), defined by psi(G(phi)) = <phi, psi>."""
-    return vec_mat(phi, pairing.mat)
+    return [Fraction(x, 6) for x in vec_mat(phi, pairing.six_mat)]
 
 
 def dual_cuspless_basis(space):

@@ -45,9 +45,9 @@ class SymbolSpace:
     Ambient generators are ordered Manin generators (one per coset) followed
     by cusp generators (one per cusp class).  ``quotient`` presents the
     torsion-free quotient by (R1)-(R3); ``classical`` presents the classical
-    modular-symbol space on the coset generators alone (relations x + xS and
-    x + xU + xU^2).  ``pi_basis`` and ``boundary_basis`` act on basis row
-    vectors by right multiplication.
+    modular-symbol space on the coset generators alone, by the Manin block of
+    (R1) and (R2) (relations x + xS and x + xU + xU^2).  ``pi_basis`` and
+    ``boundary_basis`` act on basis row vectors by right multiplication.
     """
 
     spec: GroupSpec
@@ -110,24 +110,6 @@ def _assemble_relations(cosets, cusps):
     return rows
 
 
-def _classical_relations(cosets):
-    n = cosets.index
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] += 1
-        row[cosets.act(i, "S")[0]] += 1
-        rows.append(row)
-    for i in range(n):
-        row = [0] * n
-        j = cosets.act(i, "U")[0]
-        k = cosets.act(j, "U")[0]
-        for m in (i, j, k):
-            row[m] += 1
-        rows.append(row)
-    return rows
-
-
 def build_space(spec):
     """Construct the mixed-symbol lattice for the given congruence group."""
     cosets = sl2.enumerate_cosets(spec)
@@ -135,14 +117,16 @@ def build_space(spec):
     g = sl2.genus(cosets, cusps)
     n_manin, n_cusp = cosets.index, cusps.count
 
-    quotient = quotient_by_rows(_assemble_relations(cosets, cusps),
-                                n_manin + n_cusp)
+    relations = _assemble_relations(cosets, cusps)
+    quotient = quotient_by_rows(relations, n_manin + n_cusp)
     expected = 2 * g + 2 * (n_cusp - 1)
     if quotient.rank != expected:
         raise PresentationError(
             f"{spec.label()}: presented rank {quotient.rank}, expected {expected}")
 
-    classical = quotient_by_rows(_classical_relations(cosets), n_manin)
+    # (R1) and (R2) read on the Manin generators alone are the classical relations
+    classical = quotient_by_rows([row[:n_manin] for row in relations[:2 * n_manin]],
+                                 n_manin)
 
     pi_ambient = [list(classical.project[i]) for i in range(n_manin)]
     pi_ambient += [[0] * classical.rank for _ in range(n_cusp)]

@@ -13,7 +13,6 @@ from math import gcd
 MAT_ID = (1, 0, 0, 1)
 MAT_S = (0, -1, 1, 0)
 MAT_T = (1, 1, 0, 1)
-MAT_T_INV = (1, -1, 0, 1)
 MAT_U = (1, -1, 1, 0)          # T * S, order 3 in PSL2
 MAT_TAU = (0, -1, 1, 1)        # S * T, order 3 in PSL2
 
@@ -129,8 +128,8 @@ class CosetTable:
 
     ``index_of[(c % N) * N + d % N]`` is the index of the coset of the
     matrices with bottom row (c, d), and None when (c, d) is not primitive
-    mod N.  ``action[name][i]`` is the index of coset i right-multiplied by
-    the generator ``name`` in ("S", "T", "Tinv", "U").
+    mod N.  ``action[name][i]`` is ``act(i, name)`` for the generators
+    ``name`` in ("S", "T", "U"), the only ones the package multiplies by.
     """
 
     spec: GroupSpec
@@ -166,8 +165,7 @@ class CosetTable:
         return self.action[name][i]
 
 
-_GENERATOR_MATS = {"S": MAT_S, "T": MAT_T, "Tinv": MAT_T_INV, "U": MAT_U,
-                   "U2": mmul(MAT_U, MAT_U)}
+_GENERATOR_MATS = {"S": MAT_S, "T": MAT_T, "U": MAT_U}
 
 
 def enumerate_cosets(spec):
@@ -302,10 +300,9 @@ def genus(table, cusps):
     mu = table.index
     e2 = sum(1 for i in range(mu) if table.act(i, "S")[0] == i)
     e3 = sum(1 for i in range(mu) if table.act(i, "U")[0] == i)
-    val = Fraction(1) + Fraction(mu, 12) - Fraction(e2, 4) - Fraction(e3, 3) \
-        - Fraction(cusps.count, 2)
-    assert val.denominator == 1, "inconsistent coset table"
-    return int(val)
+    twelve_g = 12 + mu - 3 * e2 - 4 * e3 - 6 * cusps.count
+    assert twelve_g % 12 == 0, "inconsistent coset table"
+    return twelve_g // 12
 
 
 def minus_id_in_group(spec):

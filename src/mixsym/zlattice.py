@@ -226,13 +226,11 @@ class QuotientLattice:
 
     ``project`` (n x rank) sends an ambient row vector to its coordinates in
     the quotient basis; ``lift`` (rank x n) is a section, so
-    ``lift * project = identity`` and ``relations * project = 0``.
+    ``lift * project = identity`` and the relations map to 0 under ``project``.
     ``torsion`` lists the invariant factors > 1 of the full quotient
     (the part discarded when passing to the torsion-free quotient).
     """
 
-    ambient_rank: int
-    relations: list
     rank: int
     project: list
     lift: list
@@ -244,16 +242,14 @@ def quotient_by_rows(relations, ambient_rank):
     if relations and any(len(row) != ambient_rank for row in relations):
         raise LatticeError("relation rows must have length ambient_rank")
     if not relations:
-        return QuotientLattice(ambient_rank, [], ambient_rank,
-                               identity_matrix(ambient_rank),
+        return QuotientLattice(ambient_rank, identity_matrix(ambient_rank),
                                identity_matrix(ambient_rank))
     dec = snf(relations)
     r = len(dec.invariants)
     project = [row[r:] for row in dec.vinv]
     lift = dec.v[r:]
     torsion = [x for x in dec.invariants if x not in (1, -1)]
-    q = QuotientLattice(ambient_rank, mat_copy(relations), ambient_rank - r,
-                        project, lift, torsion)
+    q = QuotientLattice(ambient_rank - r, project, lift, torsion)
     assert mat_mul(q.lift, q.project) == identity_matrix(q.rank)
     assert mat_eq_zero(mat_mul(relations, q.project))
     return q

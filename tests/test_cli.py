@@ -81,6 +81,15 @@ class TestVerify:
         assert code == 0
         assert built == [5, 7]
 
+    def test_suite_eis_builds_no_space(self, capsys, monkeypatch):
+        from mixsym import cli
+        built = []
+        monkeypatch.setattr(cli, "build_space", built.append)
+        code, _, _ = _run(capsys, ["verify", "--suite", "eis", "--pn", "5",
+                                   "--levels", "5,7"])
+        assert code == 0
+        assert built == []
+
     def test_hecke_suite_gamma1(self, capsys):
         code, out, _ = _run(capsys, ["verify", "--suite", "hecke",
                                      "--family", "gamma1", "--levels", "5",

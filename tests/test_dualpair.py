@@ -7,6 +7,8 @@ import pytest
 from mixsym import dualpair, hecke
 from mixsym.mms import InvalidInputError, build_space
 from mixsym.sl2 import GroupSpec
+from mixsym.zlattice import (common_denominator, det_rational, scale_to_int,
+                             snf)
 
 
 def _space(family, level, _cache={}):
@@ -75,6 +77,35 @@ class TestGramMatrix:
         for i in range(r):
             for j in range(r):
                 assert pm.value(e[i], e[j]) == pm.mat[i][j]
+
+
+PERFECTNESS_LEVELS = ([("gamma0", n) for n in range(1, 28)]
+                      + [("gamma1", n) for n in range(4, 14)])
+
+
+class TestPerfectnessReport:
+    @pytest.mark.parametrize("family,level", PERFECTNESS_LEVELS)
+    def test_det_and_invariants_match_rational_routes(self, family, level):
+        sp = _space(family, level)
+        pm = dualpair.pairing_matrix(sp)
+        info = dualpair.perfectness_report(sp, pm)
+        assert info["det"] == det_rational(pm.mat)
+        d = common_denominator(pm.mat)
+        ref = [Fraction(abs(s), d) for s in snf(scale_to_int(d, pm.mat)).invariants]
+        assert info["invariants"] == ref
+        assert dualpair.fractional_invariants(pm) == ref
+
+    def test_degenerate_pairing_is_not_perfect(self):
+        pm = dualpair.PairingMatrix(six_mat=[[0, 6, 0, 0], [-6, 0, 0, 0],
+                                             [0, 0, 0, 0], [0, 0, 0, 0]])
+        assert dualpair.fractional_invariants(pm) == [1, 1]
+        assert not dualpair.is_perfect_over(pm, 6)
+        info = dualpair.perfectness_report(_space("gamma0", 11), pm)  # rank 4
+        assert info["det"] == det_rational(pm.mat) == 0
+        assert not info["nondegenerate"]
+        assert not info["perfect_after_inverting"]
+        assert dualpair.is_perfect_over(
+            dualpair.PairingMatrix(six_mat=[[0, 6], [-6, 0]]), 1)
 
 
 class TestEquivariance:

@@ -63,6 +63,13 @@ REPORT_DIGESTS = {
     ("verify", "--suite", "all", "--family", "gamma1",
      "--levels", "5,7,11,13"):
         "17477308d90db55e7385594b59d4de6c8b010d5fbbaae1dbeb795774524e5af5",
+    ("verify", "--suite", "all"):
+        "582f1aa18ed46d97ee21bde1b8756d5dfab36a52635612b58c8ff48b0a5a294a",
+    ("verify", "--suite", "all", "--strict", "--format", "markdown"):
+        "b79e12f83f2e774023d967057afbf1608632e7171c9397ae3dfb5327b05d0dc2",
+    ("verify", "--suite", "pairing", "--levels", "2,3,4,6,9,25,27",
+     "--strict"):
+        "efed266f5686d25a8141f5512507da7bec330c21340dfd28adbd1f35d1a5ea08",
 }
 
 

@@ -12,6 +12,7 @@ from mixsym.mms import (InvalidInputError, boundary, build_space,
                         reduce_pair, reduce_pair_rational, space_from_dict,
                         space_to_dict)
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul, mpow_t
+from mixsym.zlattice import quotient_by_rows
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
@@ -39,6 +40,37 @@ class TestBuild:
             assert all(isinstance(x, int) for x in sp.manin_gen(i))
         for c in range(sp.n_cusp):
             assert any(sp.cusp_gen(c))
+
+
+def _classical_relations(cosets):
+    """x + xS and x + xU + xU^2 on the coset generators, assembled directly."""
+    n = cosets.index
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] += 1
+        row[cosets.act(i, "S")[0]] += 1
+        rows.append(row)
+    for i in range(n):
+        row = [0] * n
+        j = cosets.act(i, "U")[0]
+        k = cosets.act(j, "U")[0]
+        for m in (i, j, k):
+            row[m] += 1
+        rows.append(row)
+    return rows
+
+
+class TestClassicalPresentation:
+    @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 61)),
+                                               ("gamma1", range(1, 21))])
+    def test_matches_direct_relations(self, family, levels):
+        for level in levels:
+            sp = _space(family, level)
+            ref = quotient_by_rows(_classical_relations(sp.cosets), sp.n_manin)
+            got = sp.classical
+            assert (got.rank, got.project, got.lift, got.torsion) == \
+                (ref.rank, ref.project, ref.lift, ref.torsion), level
 
 
 class TestReduce:
