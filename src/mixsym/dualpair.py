@@ -38,8 +38,8 @@ from math import isqrt, prod
 
 from .mms import InvalidInputError, expected_homology_index
 from .zlattice import (common_denominator, factor, kernel_basis, lcm_list,
-                       mat_mul, mat_scale, mat_transpose, scale_to_int, snf,
-                       vec_mat)
+                       mat_mul, mat_scale, mat_transpose, scale_to_int,
+                       smith_invariants, vec_mat)
 
 
 @dataclass
@@ -91,9 +91,7 @@ def fractional_invariants(pairing):
     Those of ``six_mat`` are six times those of the Gram matrix, so one
     integer Smith form gives them all.
     """
-    if not pairing.six_mat:
-        return []
-    return [Fraction(abs(s), 6) for s in snf(pairing.six_mat).invariants]
+    return [Fraction(s, 6) for s in smith_invariants(pairing.six_mat)]
 
 
 def _prime_support(n):

@@ -124,7 +124,7 @@ def characters_mod(m):
     """All phi(m) Dirichlet characters of odd prime-power modulus m."""
     if m == 1:
         return [DirichletCharacter(1, 0, {0: 1 + 0j}, 1, True)]
-    p, _ = _odd_prime_power(m)
+    p, n = _odd_prime_power(m)
     g = _primitive_root(m)
     phi = m // p * (p - 1)
     # discrete logs: unit g^k -> k
@@ -134,29 +134,15 @@ def characters_mod(m):
         dlog[x] = k
         x = x * g % m
     out = []
-    # conductors are the divisors p^j of m; chi has conductor p^j when it is
-    # trivial on units congruent to 1 mod p^j but not on those mod p^(j-1)
-    kernel_exponents = {}
-    for d in _prime_power_divisors(m, p):
-        ks = sorted(dlog[u] for u in range(1, m) if gcd(u, m) == 1
-                    and u % d == 1 % d)
-        kernel_exponents[d] = ks
     for j in range(phi):
         vals = {u: cmath.exp(2j * cmath.pi * j * k / phi)
                 for u, k in dlog.items()}
-        conductor = next(d for d in _prime_power_divisors(m, p)
-                         if all(j * k % phi == 0 for k in kernel_exponents[d]))
+        # the units congruent to 1 mod p^e (e >= 1) are the powers of
+        # g^(phi / p^(n-e)), so chi_j is trivial on them exactly when p^(n-e)
+        # divides j
+        conductor = p ** (n - factor(j).get(p, 0)) if j else 1
         is_even = abs(vals[m - 1] - 1) < 1e-9
         out.append(DirichletCharacter(m, j, vals, conductor, is_even))
-    return out
-
-
-def _prime_power_divisors(m, p):
-    out = [1]
-    d = p
-    while d <= m:
-        out.append(d)
-        d *= p
     return out
 
 

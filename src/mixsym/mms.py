@@ -23,7 +23,8 @@ from . import sl2
 from .sl2 import (GroupSpec, MAT_ID, MAT_S, det, gcdex, minv, mmul, mneg,
                   mpow_t, stword_decompose)
 from .zlattice import (QuotientLattice, identity_matrix, kernel_basis, mat_mul,
-                       quotient_by_rows, snf, sublattice_index, vec_mat)
+                       quotient_by_rows, smith_invariants, sublattice_index,
+                       vec_mat)
 
 
 class PresentationError(Exception):
@@ -315,9 +316,7 @@ def cusp_cokernel_invariants(space):
     Returned as (free_rank, torsion list), comparable with the kernel of pi.
     """
     d = space.cusps.gcd_of_widths
-    row = [w // d for w in space.cusps.widths]
-    dec = snf([row])
-    invs = dec.invariants
+    invs = smith_invariants([[w // d for w in space.cusps.widths]])
     free_rank = space.n_cusp - len(invs)
     return free_rank, [x for x in invs if x != 1]
 

@@ -8,7 +8,7 @@ map with matrix ``M`` is ``x * M``.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, prod
 
 
 class LatticeError(Exception):
@@ -220,6 +220,30 @@ def snf(a):
     return SmithDecomposition(u=u, d=d, v=v, vinv=vinv)
 
 
+def _hnf_rows(a):
+    """The non-zero rows of the reduced row HNF of ``a``."""
+    return [row for row in hnf(a)[0] if any(row)]
+
+
+def smith_invariants(a):
+    """Non-zero invariant factors of an integer matrix, each dividing the next.
+
+    Row HNFs of the matrix and of its transpose alternate until it is
+    diagonal (Kannan-Bachem); only the reduced forms are carried from one
+    step to the next, never a transform.  Pairwise gcd/lcm then puts the
+    diagonal in divisibility order.
+    """
+    d = _hnf_rows(a)
+    while any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        d = _hnf_rows(mat_transpose(d))
+    invs = [row[i] for i, row in enumerate(d)]
+    for i in range(len(invs)):
+        for j in range(i + 1, len(invs)):
+            g = gcd(invs[i], invs[j])
+            invs[i], invs[j] = g, invs[i] * invs[j] // g
+    return invs
+
+
 @dataclass
 class QuotientLattice:
     """Largest torsion-free quotient of Z^n by the row span of a relation matrix.
@@ -301,38 +325,24 @@ def sublattice_index(gens_a, gens_b):
     """Index of the lattice spanned by ``gens_b`` inside the one spanned by ``gens_a``.
 
     Returns ``math.inf`` when the ranks differ; raises LatticeError when some
-    generator of B does not lie in the lattice A.  The basis of A is its HNF,
-    echelon rows with positive pivots, so the coordinates of each generator
-    are found by integer back-substitution at the pivot columns.
+    generator of B does not lie in the lattice A.  B lies in A exactly when
+    A and A + B have the same reduced HNF; then the index is the ratio of the
+    torsion orders of Z^n / B and Z^n / A, the products of their invariants.
     """
-    ha, _ = hnf(gens_a)
-    basis = [row for row in ha if any(row)]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    coords = []
-    for row in gens_b:
-        if basis and len(row) != len(basis[0]):
-            raise LatticeError("dimension mismatch")
-        res = list(row)
-        x = []
-        for brow, j in zip(basis, pivots):
-            q, rem = divmod(res[j], brow[j])
-            if rem:
-                where = "span of" if solve_rational(basis, row) is None \
-                    else "lattice"
+    basis = _hnf_rows(gens_a)
+    widths = {len(row) for row in basis + gens_b}
+    if len(widths) > 1 or _hnf_rows(basis + gens_b) != basis:
+        for row in gens_b:
+            if basis and len(row) != len(basis[0]):
+                raise LatticeError("dimension mismatch")
+            h = _hnf_rows(basis + [row])
+            if h != basis:
+                where = "span of" if len(h) > len(basis) else "lattice"
                 raise LatticeError(f"generator outside the {where} A")
-            if q:
-                res = [r - q * y for r, y in zip(res, brow)]
-            x.append(q)
-        if any(res):
-            raise LatticeError("generator outside the span of A")
-        coords.append(x)
-    invs = snf(coords).invariants
+    invs = smith_invariants(gens_b)
     if len(invs) < len(basis):
         return inf
-    idx = 1
-    for x in invs:
-        idx *= abs(x)
-    return idx
+    return prod(invs) // prod(smith_invariants(basis))
 
 
 def charpoly(a):

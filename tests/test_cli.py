@@ -57,6 +57,17 @@ class TestVerify:
         assert any(i["id"] == "det-conjecture/gamma0/11"
                    and i["status"] == "pass" for i in items)
 
+    @pytest.mark.parametrize("argv", [
+        ["--levels", "36,49"], ["--family", "gamma1", "--levels", "15"]])
+    def test_pairing_suite_strict_at_composite_levels(self, capsys, argv):
+        code, out, _ = _run(capsys, ["verify", "--suite", "pairing",
+                                     "--strict", *argv])
+        assert code == 0
+        det_items = [i for i in json.loads(out)["items"]
+                     if i["id"].startswith("det-conjecture/")]
+        assert len(det_items) == len(argv[-1].split(","))
+        assert all(i["status"] == "pass" for i in det_items)
+
     def test_pairing_suite_reports_det_conjecture(self, capsys):
         code, out, _ = _run(capsys, ["verify", "--suite", "pairing",
                                      "--levels", "5"])

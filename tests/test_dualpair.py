@@ -8,7 +8,7 @@ from mixsym import dualpair, hecke
 from mixsym.mms import InvalidInputError, build_space
 from mixsym.sl2 import GroupSpec
 from mixsym.zlattice import (common_denominator, det_rational, scale_to_int,
-                             snf)
+                             smith_invariants, snf)
 
 
 def _space(family, level, _cache={}):
@@ -94,6 +94,7 @@ class TestPerfectnessReport:
         ref = [Fraction(abs(s), d) for s in snf(scale_to_int(d, pm.mat)).invariants]
         assert info["invariants"] == ref
         assert dualpair.fractional_invariants(pm) == ref
+        assert smith_invariants(pm.six_mat) == snf(pm.six_mat).invariants
 
     def test_degenerate_pairing_is_not_perfect(self):
         pm = dualpair.PairingMatrix(six_mat=[[0, 6, 0, 0], [-6, 0, 0, 0],

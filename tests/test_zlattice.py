@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import inf
+from itertools import combinations
+from math import gcd, inf
 
 import pytest
 
 from mixsym.zlattice import (LatticeError, charpoly, det_rational, hnf,
                              identity_matrix, kernel_basis, lcm_list, mat_mul,
-                             mat_rank, mat_transpose, quotient_by_rows, snf,
-                             solve_rational, sublattice_index, vec_mat)
+                             mat_rank, mat_transpose, quotient_by_rows,
+                             smith_invariants, snf, solve_rational,
+                             sublattice_index, vec_mat)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -81,6 +83,73 @@ class TestSNF:
     def test_known_invariants(self):
         assert snf([[2, 0], [0, 3]]).invariants == [1, 6]
         assert snf([[2, 0], [0, 2]]).invariants == [2, 2]
+
+
+def _minor_gcd(a, k):
+    """The k-th determinantal divisor: the gcd of all k x k minors of ``a``."""
+    cols = len(a[0]) if a else 0
+    out = 0
+    for rs in combinations(range(len(a)), k):
+        for cs in combinations(range(cols), k):
+            out = gcd(out, int(det_rational([[a[i][j] for j in cs] for i in rs])))
+    return out
+
+
+def _determinantal_invariants(a):
+    """Invariant factors d_k / d_(k-1) from the determinantal divisors d_k."""
+    invs, prev = [], 1
+    for k in range(1, min(len(a), len(a[0]) if a else 0) + 1):
+        d = _minor_gcd(a, k)
+        if d == 0:
+            break
+        invs.append(d // prev)
+        prev = d
+    return invs
+
+
+# entries below 80, yet snf's entries pass 240 000 bits on it
+SNF_BLOWUP = [[-34, -19, 20, 19, 11], [-39, -25, 11, 11, 24],
+              [-77, -24, 26, -2, 41], [-39, -2, 45, 32, -10],
+              [-14, -6, -17, -30, 28], [-40, 2, 17, 2, 16]]
+
+
+class TestSmithInvariants:
+    def test_known_values(self):
+        assert smith_invariants([]) == []
+        assert smith_invariants([[]]) == []
+        assert smith_invariants([[0, 0], [0, 0]]) == []
+        assert smith_invariants([[4, 6]]) == [2]
+        assert smith_invariants([[4], [-6]]) == [2]
+        assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
+        assert smith_invariants([[2, 0], [0, 2]]) == [2, 2]
+        assert smith_invariants([[0, 6], [-6, 0]]) == [6, 6]
+
+    def test_snf_blowup_matrix(self):
+        assert smith_invariants(SNF_BLOWUP) == [1, 1, 1, 1, 4]
+        assert _determinantal_invariants(SNF_BLOWUP) == [1, 1, 1, 1, 4]
+
+    def test_against_determinantal_divisors(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            a = random_matrix(rng, rows, cols, -100, 100)
+            shape = rng.randrange(4)
+            if shape == 1:
+                a[rng.randrange(rows)] = [0] * cols
+            elif shape == 2 and rows > 1:
+                # rank-deficient: one row a combination of the others
+                i = rng.randrange(rows)
+                v = [rng.randint(-3, 3) for _ in range(rows)]
+                v[i] = 0
+                a[i] = vec_mat(v, a)
+            elif shape == 3:
+                # small common factors in one row and one column
+                f, g = rng.choice([2, 3, 6]), rng.choice([2, 4, 5])
+                i, j = rng.randrange(rows), rng.randrange(cols)
+                a[i] = [f * x for x in a[i]]
+                for row in a:
+                    row[j] *= g
+            assert smith_invariants(a) == _determinantal_invariants(a), a
 
 
 class TestQuotient:
@@ -192,13 +261,21 @@ class TestSublatticeIndexAgainstReference:
             cols = rng.randint(1, 5)
             rank = rng.randint(1, cols)
             base, a = _random_lattice(rng, rank, cols)
-            # square x: zlattice.snf is the naive elimination, and its
-            # entries blow up on some 6 x 5 coordinate matrices already
             x = random_matrix(rng, rank, rank, -4, 4)
             b = mat_mul(x, base)
             got = sublattice_index(a, b)
             assert got == _index_reference(a, b)
             assert got == (abs(det_rational(x)) or inf)
+        # taller x: the index is the gcd of the maximal minors of x (the
+        # reference route ends in snf, whose entries blow up on such x)
+        for extra in (1, 2):
+            for _ in range(200):
+                cols = rng.randint(1, 5)
+                rank = rng.randint(1, cols)
+                base, a = _random_lattice(rng, rank, cols)
+                x = random_matrix(rng, rank + extra, rank, -4, 4)
+                b = mat_mul(x, base)
+                assert sublattice_index(a, b) == (_minor_gcd(x, rank) or inf)
 
     def test_fewer_independent_rows_is_infinite(self):
         rng = random.Random(13)
