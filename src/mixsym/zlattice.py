@@ -29,21 +29,16 @@ def mat_transpose(a):
 
 def mat_mul(a, b):
     """Product of two matrices (entries int or Fraction)."""
-    if a and b:
-        assert len(a[0]) == len(b), "incompatible shapes"
-    bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [vec_mat(row, b) for row in a]
 
 
 def vec_mat(v, m):
-    """Row vector times matrix."""
-    assert len(v) == len(m)
-    cols = len(m[0]) if m else 0
-    out = [0] * cols
+    """Row vector times matrix; only the non-zero entries of ``v`` cost work."""
+    assert len(v) == len(m), "incompatible shapes"
+    out = [0] * (len(m[0]) if m else 0)
     for x, row in zip(v, m):
         if x:
-            for j, y in enumerate(row):
-                out[j] += x * y
+            out = [s + x * y for s, y in zip(out, row)]
     return out
 
 
@@ -55,17 +50,13 @@ def mat_eq_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
-def hnf(a):
-    """Row Hermite normal form.
+def _row_hnf(h, cols):
+    """Reduce the rows of ``h`` in place to row HNF, pivoting in the first ``cols`` columns.
 
-    Returns ``(h, u)`` with ``h = u * a``, ``u`` unimodular, ``h`` in row
-    echelon form with positive pivots, zero rows last, and entries above each
-    pivot reduced into ``[0, pivot)``.
+    Entries past ``cols`` ride along with every row operation, so rows
+    augmented by the identity carry the transform.
     """
-    h = mat_copy(a)
     rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity_matrix(rows)
     r = 0
     for j in range(cols):
         # gcd elimination in column j below row r
@@ -78,13 +69,11 @@ def hnf(a):
                 break
             if piv != r:
                 h[r], h[piv] = h[piv], h[r]
-                u[r], u[piv] = u[piv], u[r]
             done = True
             for i in range(r + 1, rows):
                 if h[i][j] != 0:
                     q = h[i][j] // h[r][j]
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if h[i][j] != 0:
                         done = False
             if done:
@@ -92,19 +81,24 @@ def hnf(a):
         if r < rows and h[r][j] != 0:
             if h[r][j] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = h[i][j] // h[r][j]
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
-    return h, u
+    return h
 
 
-def mat_rank(a):
-    h, _ = hnf(a)
-    return sum(1 for row in h if any(row))
+def hnf(a):
+    """Row Hermite normal form.
+
+    Returns ``(h, u)`` with ``h = u * a``, ``u`` unimodular, ``h`` in row
+    echelon form with positive pivots, zero rows last, and entries above each
+    pivot reduced into ``[0, pivot)``.
+    """
+    cols = len(a[0]) if a else 0
+    hu = _row_hnf([list(row) + e for row, e in zip(a, identity_matrix(len(a)))], cols)
+    return [row[:cols] for row in hu], [row[cols:] for row in hu]
 
 
 @dataclass
@@ -168,15 +162,23 @@ def snf(a):
         for row in u:
             row[i] = -row[i]
 
+    def find_pivot(t):
+        # first entry of least absolute value in the trailing block, in
+        # row-major order; a unit is that entry as soon as it is met
+        piv, best = None, 0
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(d[i][j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
+                    if x == 1:
+                        return piv
+        return piv
+
     n = min(rows, cols)
     t = 0
     while t < n:
-        # find a pivot of least absolute value in the trailing block
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
+        piv = find_pivot(t)
         if piv is None:
             break
         if piv[0] != t:
@@ -201,16 +203,10 @@ def snf(a):
                     if d[t][j] != 0:
                         col_swap(t, j)
                         dirty = True
-        # enforce divisibility of the trailing block by the pivot
+        # enforce divisibility of the trailing block by the pivot (a unit divides all)
         p = d[t][t]
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = None if p in (1, -1) else next(
+            (i for i in range(t + 1, rows) if any(x % p for x in d[i][t + 1:])), None)
         if bad is not None:
             row_add(bad, t, 1)
             continue
@@ -221,8 +217,8 @@ def snf(a):
 
 
 def _hnf_rows(a):
-    """The non-zero rows of the reduced row HNF of ``a``."""
-    return [row for row in hnf(a)[0] if any(row)]
+    """The non-zero rows of the reduced row HNF of ``a``, built without a transform."""
+    return [row for row in _row_hnf(mat_copy(a), len(a[0]) if a else 0) if any(row)]
 
 
 def smith_invariants(a):
@@ -343,46 +339,6 @@ def sublattice_index(gens_a, gens_b):
     if len(invs) < len(basis):
         return inf
     return prod(invs) // prod(smith_invariants(basis))
-
-
-def charpoly(a):
-    """Characteristic polynomial of a square rational matrix.
-
-    Returns coefficients [c_0, ..., c_n] of det(x*I - a), leading coefficient
-    last, computed by the Faddeev-LeVerrier recurrence.
-    """
-    n = len(a)
-    a = [[Fraction(x) for x in row] for row in a]
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = identity_matrix(n)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
-
-
-def det_rational(a):
-    """Exact determinant of a square rational matrix."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
 
 
 def lcm_list(xs):

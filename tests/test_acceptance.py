@@ -16,7 +16,9 @@ from mixsym.mms import (build_space, cusp_cokernel_invariants,
                         homology_index_in_kernel, kernel_pi_invariants,
                         manin_index)
 from mixsym.sl2 import GroupSpec
-from mixsym.zlattice import charpoly, kernel_basis, mat_mul, solve_rational
+from mixsym.zlattice import kernel_basis, mat_mul, solve_rational
+
+from _reference import charpoly
 
 GAMMA0_LEVELS = [1, 5, 7, 9, 11, 13, 23, 25]
 GAMMA1_LEVELS = [5, 7, 11, 13]

@@ -7,8 +7,10 @@ import pytest
 from mixsym import dualpair, hecke
 from mixsym.mms import InvalidInputError, build_space
 from mixsym.sl2 import GroupSpec
-from mixsym.zlattice import (common_denominator, det_rational, scale_to_int,
-                             smith_invariants, snf)
+from mixsym.zlattice import (common_denominator, scale_to_int, smith_invariants,
+                             snf)
+
+from _reference import det_rational
 
 
 def _space(family, level, _cache={}):

@@ -7,8 +7,9 @@ import pytest
 from mixsym import classical, hecke
 from mixsym.mms import InvalidInputError, build_space
 from mixsym.sl2 import GroupSpec
-from mixsym.zlattice import (charpoly, kernel_basis, mat_mul, solve_rational,
-                             vec_mat)
+from mixsym.zlattice import kernel_basis, mat_mul, solve_rational, vec_mat
+
+from _reference import charpoly
 
 
 def _space(family, level, _cache={}):

@@ -1,5 +1,6 @@
 """Exact integer/rational linear algebra."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,11 +8,14 @@ from math import gcd, inf
 
 import pytest
 
-from mixsym.zlattice import (LatticeError, charpoly, det_rational, hnf,
-                             identity_matrix, kernel_basis, lcm_list, mat_mul,
-                             mat_rank, mat_transpose, quotient_by_rows,
+from mixsym import sl2
+from mixsym.mms import _assemble_relations
+from mixsym.zlattice import (LatticeError, hnf, identity_matrix, kernel_basis,
+                             lcm_list, mat_mul, mat_transpose, quotient_by_rows,
                              smith_invariants, snf, solve_rational,
                              sublattice_index, vec_mat)
+
+from _reference import charpoly, det_rational, mat_rank
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -83,6 +87,87 @@ class TestSNF:
     def test_known_invariants(self):
         assert snf([[2, 0], [0, 3]]).invariants == [1, 6]
         assert snf([[2, 0], [0, 2]]).invariants == [2, 2]
+
+    # The pivot sequence, and so every transform, is pinned byte for byte:
+    # exports are read off ``v`` and ``vinv``.  Both digests were recorded
+    # before the unit-pivot fast path was added.
+    def test_transforms_pinned_on_random_matrices(self):
+        rng = random.Random(31)
+        decs = []
+        for k in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            # even k: small entries with at least one unit; odd k: no unit,
+            # so the non-unit pivots and the divisibility scan run
+            pool = [-3, -2, -1, 0, 1, 2, 3] if k % 2 == 0 else [0, 2, -2, 3, -3, 6, -6]
+            a = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+            if k % 2 == 0:
+                a[rng.randrange(rows)][rng.randrange(cols)] = rng.choice([-1, 1])
+            decs.append(snf(a))
+        assert _snf_digest(decs) == \
+            "88e7ac70f5afb545e1a06294a3bb3ba41510582ab41a9c33cca448faf46c9b07"
+
+    def test_transforms_pinned_on_relation_matrices(self):
+        decs = []
+        for family, level in [("gamma0", 36), ("gamma0", 60), ("gamma0", 101),
+                              ("gamma1", 17)]:
+            cosets = sl2.enumerate_cosets(sl2.GroupSpec(family, level))
+            decs.append(snf(_assemble_relations(cosets, sl2.cusp_table(cosets))))
+        assert _snf_digest(decs) == \
+            "07683e54df9f672d1ecdb4d1e33c545e0507c15d4eab6ea66b1ac1f940a46824"
+
+
+def _snf_digest(decs):
+    h = hashlib.sha256()
+    for dec in decs:
+        h.update(repr((dec.u, dec.d, dec.v, dec.vinv)).encode())
+    return h.hexdigest()
+
+
+def _product_by_definition(a, b):
+    """(a * b)[i][j] as the sum over k of a[i][k] * b[k][j]."""
+    cols = len(b[0]) if b else 0
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for row in a]
+
+
+def _sparse_entry(rng, fractions):
+    if rng.random() < 0.6:
+        return 0
+    if fractions:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return rng.randint(-9, 9)
+
+
+class TestMatMul:
+    def test_against_definition(self):
+        rng = random.Random(41)
+        for k in range(300):
+            n, m, p = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            a = [[_sparse_entry(rng, k % 3 == 1) for _ in range(m)] for _ in range(n)]
+            b = [[_sparse_entry(rng, k % 3 != 0) for _ in range(p)] for _ in range(m)]
+            a[rng.randrange(n)] = [0] * m
+            b[rng.randrange(m)] = [0] * p
+            j = rng.randrange(p)
+            for row in b:
+                row[j] = 0
+            expected = _product_by_definition(a, b)
+            assert mat_mul(a, b) == expected
+            assert [vec_mat(row, b) for row in a] == expected
+
+    def test_empty_shapes(self):
+        assert mat_mul([], [[1, 2]]) == []
+        assert mat_mul([[]], []) == [[]]
+        assert mat_mul([[], []], []) == [[], []]
+        assert mat_mul([[1, 2]], [[], []]) == [[]]
+        assert vec_mat([], []) == []
+        assert vec_mat([3, 0], [[], []]) == []
+
+    def test_shape_mismatch_raises(self):
+        for a, b in [([[1]], []), ([[1, 2]], [[1]]), ([[1]], [[1], [2]])]:
+            with pytest.raises(AssertionError):
+                mat_mul(a, b)
+        with pytest.raises(AssertionError):
+            vec_mat([1], [[1], [2]])
 
 
 def _minor_gcd(a, k):
