@@ -13,15 +13,18 @@ unimodular,
 
 where i runs over -(q-1)/2 .. (q-1)/2, g_i = ((1,i),(0,q)) and
 g_oo = ((q,0),(0,1)).  For q dividing 2N the same double-coset expansion is
-evaluated through rational symbols, and the resulting denominator divides q;
-Fraction entries occur only on that route and for W_N.
+evaluated through rational symbols, whose denominators divide q: each
+image is summed in ints as q times its coordinates (``reduce_pair_scaled``)
+and every matrix entry is divided by q once, at the end.  W_N is assembled
+the same way with N in place of q.  Fraction entries occur only on these two
+routes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .sl2 import MAT_S, MAT_T, conj_entries, gcdex, mmul
-from .mms import InvalidInputError, reduce_pair, reduce_pair_rational
+from .mms import InvalidInputError, reduce_pair, reduce_pair_scaled
 from .zlattice import (common_denominator, factor, identity_matrix, mat_mul,
                        scale_to_int, vec_mat)
 
@@ -71,11 +74,13 @@ def generator_pairs(space):
     return pairs
 
 
-def operator_from_pair_map(space, fn, name):
-    """Assemble the matrix of the map {g,g'} -> fn(g,g') (fn gives basis coords).
+def operator_from_pair_map(space, fn, name, denominator=1):
+    """Assemble the matrix of the map {g,g'} -> fn(g,g') / denominator.
 
-    Row j combines the images of the ambient generators with the integer
-    coefficients of row j of ``lift``; fn runs once per generator that occurs.
+    fn gives basis coordinates times ``denominator``.  Row j combines the
+    images of the ambient generators with the integer coefficients of row j
+    of ``lift``; fn runs once per generator that occurs.  For a denominator
+    other than 1 each entry is divided once, at the end, into a Fraction.
     """
     pairs = generator_pairs(space)
     images = {}
@@ -88,6 +93,8 @@ def operator_from_pair_map(space, fn, name):
                     images[k] = fn(*pairs[k])
                 row = [x + c * y for x, y in zip(row, images[k])]
         rows.append(row)
+    if denominator != 1:
+        rows = [[Fraction(x, denominator) for x in row] for row in rows]
     return OperatorMatrix(name, rows)
 
 
@@ -184,16 +191,17 @@ def _hecke_rational(space, q, name):
         mats = [(m, False) for m in lower] + [(upper, True)]
     dia = diamond(space, q) if n % q else None
 
+    # every m * g below is primitive of determinant q, so q clears its denominator
     def fn(g, gp):
-        total = [Fraction(0)] * space.rank
+        total = [0] * space.rank
         for m, twist in mats:
-            v = reduce_pair_rational(space, mmul(m, g), mmul(m, gp))
+            v = reduce_pair_scaled(space, mmul(m, g), mmul(m, gp), q)
             if twist:
                 v = vec_mat(v, dia.mat)
             total = [x + y for x, y in zip(total, v)]
         return total
 
-    return operator_from_pair_map(space, fn, name)
+    return operator_from_pair_map(space, fn, name, q)
 
 
 def hecke_rational_route(space, q):
@@ -209,45 +217,47 @@ def atkin_lehner(space):
     if space.rank == 0:
         return OperatorMatrix(f"W{n}", [])
     w = (0, -1, n, 0)
+    # w * g is primitive of determinant N, so N clears its denominator
     return operator_from_pair_map(
         space,
-        lambda g, gp: reduce_pair_rational(space, mmul(w, g), mmul(w, gp)),
-        f"W{n}")
+        lambda g, gp: reduce_pair_scaled(space, mmul(w, g), mmul(w, gp), n),
+        f"W{n}", n)
 
 
 def hecke_composite(space, m):
-    """T_m for a composite index via the standard recurrences."""
+    """T_m for a composite index via the standard recurrences.
+
+    Named U{m} when every prime of m divides the level, else T{m}.
+    """
     if m < 1:
         raise InvalidInputError("index must be positive")
     if m == 1:
         return identity_operator(space, "T1")
     n = space.spec.level
     fac = factor(m)
-    out = None
+    mat = None
     for q, k in fac.items():
         op = _prime_power_hecke(space, q, k, n)
-        out = op if out is None else compose(out, op, f"T{m}")
-    out.name = f"T{m}"
-    return out
+        mat = op if mat is None else mat_mul(mat, op)
+    name = f"U{m}" if all(n % q == 0 for q in fac) else f"T{m}"
+    return OperatorMatrix(name, mat)
 
 
 def _prime_power_hecke(space, q, k, n):
-    tq = hecke_operator(space, q)
-    if k == 1:
-        return tq
+    """The matrix of T_{q^k} (U_q^k when q divides the level)."""
+    tq = hecke_operator(space, q).mat
     if n % q == 0:
         out = tq
         for _ in range(k - 1):
-            out = compose(out, tq)
+            out = mat_mul(out, tq)
         return out
-    dia = diamond(space, q)
-    prev, cur = identity_operator(space), tq
+    dia = diamond(space, q).mat
+    prev, cur = identity_matrix(space.rank), tq
     for _ in range(k - 1):
-        correction = mat_mul(prev.mat, dia.mat)
+        correction = mat_mul(prev, dia)
         nxt = [[a - q * b for a, b in zip(ra, rb)]
-               for ra, rb in zip(mat_mul(cur.mat, tq.mat), correction)]
-        prev, cur = cur, OperatorMatrix("tmp", nxt)
-    cur.name = f"T{q**k}"
+               for ra, rb in zip(mat_mul(cur, tq), correction)]
+        prev, cur = cur, nxt
     return cur
 
 

@@ -172,15 +172,16 @@ def reduce_pair(space, g, gprime):
 
 def _primitive_integral(m):
     """Scale a rational matrix by a positive rational to primitive integers."""
-    entries = [Fraction(x) for x in m]
-    mult = 1
-    for x in entries:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in entries]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    if all(type(x) is int for x in m):
+        ints = m
+    else:
+        entries = [Fraction(x) for x in m]
+        mult = 1
+        for x in entries:
+            mult = mult * x.denominator // gcd(mult, x.denominator)
+        ints = [int(x * mult) for x in entries]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def _factor_upper(m):
@@ -203,30 +204,48 @@ def _factor_upper(m):
     return minv(alpha_inv), (a, b, d)
 
 
+def _split_rational(m):
+    """(alpha, b, d): the primitive integer multiple of m is alpha * ((a, b), (0, d))."""
+    m = _primitive_integral(m)
+    if det(m) <= 0:
+        raise InvalidInputError("matrices must have positive determinant")
+    alpha, (_, b, d) = _factor_upper(m)
+    return alpha, b, d
+
+
+def reduce_pair_scaled(space, m, mprime, s):
+    """s times the basis coordinates of {m, m'}, as integers.
+
+    m and m' are rational matrices of positive determinant.  Each is scaled
+    to a primitive integer matrix and factored as alpha * ((a, b), (0, d))
+    with alpha unimodular; then
+
+      s * {m, m'} = s * {alpha, alpha'} - (s*b/d) * cusp(alpha)
+                    + (s*b'/d') * cusp(alpha'),
+
+    where cusp(alpha) is the cusp generator at alpha's coset.  Raises
+    InvalidInputError unless s is a multiple of both d and d'.
+    """
+    alpha, b, d = _split_rational(m)
+    alpha2, b2, d2 = _split_rational(mprime)
+    if s % d or s % d2:
+        raise InvalidInputError(f"scale {s} is not a multiple of {d} and {d2}")
+    out = [s * x for x in reduce_pair(space, alpha, alpha2)]
+    for beta, num in ((alpha, -s * b // d), (alpha2, s * b2 // d2)):
+        if num:
+            i = space.cosets.coset_of(beta)[0]
+            cg = space.cusp_gen(space.cusps.cusp_of[i])
+            out = [x + num * y for x, y in zip(out, cg)]
+    return out
+
+
 def reduce_pair_rational(space, m, mprime):
     """Rational basis coordinates of {m, m'} for rational matrices of positive determinant.
 
-    Each argument is scaled to a primitive integer matrix and factored as
-    (unimodular) * (upper triangular); the triangular parts contribute
-    rational multiples of cusp generators and the unimodular parts reduce
-    integrally.
+    ``reduce_pair_scaled`` with s = d * d', divided by s.
     """
-    for x in (m, mprime):
-        a, b, c, d = (Fraction(t) for t in x)
-        if a * d - b * c <= 0:
-            raise InvalidInputError("matrices must have positive determinant")
-    alpha, (_, b, d) = _factor_upper(_primitive_integral(m))
-    alpha2, (_, b2, d2) = _factor_upper(_primitive_integral(mprime))
-    out = [Fraction(x) for x in reduce_pair(space, alpha, alpha2)]
-    if b:
-        i = space.cosets.coset_of(alpha)[0]
-        cg = space.cusp_gen(space.cusps.cusp_of[i])
-        out = [x - Fraction(b, d) * y for x, y in zip(out, cg)]
-    if b2:
-        i = space.cosets.coset_of(alpha2)[0]
-        cg = space.cusp_gen(space.cusps.cusp_of[i])
-        out = [x + Fraction(b2, d2) * y for x, y in zip(out, cg)]
-    return out
+    s = _split_rational(m)[2] * _split_rational(mprime)[2]
+    return [Fraction(x, s) for x in reduce_pair_scaled(space, m, mprime, s)]
 
 
 def boundary(space, x):

@@ -1,9 +1,13 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank."""
+polynomial and rank, and the Fraction route for the rational operators."""
 
 from fractions import Fraction
 
-from mixsym.zlattice import hnf, identity_matrix, mat_mul
+from mixsym.hecke import _coset_matrices, diamond, operator_from_pair_map
+from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
+                        reduce_pair)
+from mixsym.sl2 import mmul
+from mixsym.zlattice import hnf, identity_matrix, mat_mul, vec_mat
 
 
 def mat_rank(a):
@@ -50,3 +54,61 @@ def det_rational(a):
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out
+
+
+def reduce_pair_rational_fractions(space, m, mprime):
+    """{m, m'} for rational matrices of positive determinant, added up in Fractions.
+
+    With m = alpha * ((a, b), (0, d)) and m' likewise up to positive scalars,
+    the integral symbol {alpha, alpha'}, minus (b/d) times the cusp generator
+    at alpha's coset, plus (b'/d') times the one at the coset of alpha'.
+    """
+    for x in (m, mprime):
+        a, b, c, d = (Fraction(t) for t in x)
+        if a * d - b * c <= 0:
+            raise InvalidInputError("matrices must have positive determinant")
+    alpha, (_, b, d) = _factor_upper(_primitive_integral(m))
+    alpha2, (_, b2, d2) = _factor_upper(_primitive_integral(mprime))
+    out = [Fraction(x) for x in reduce_pair(space, alpha, alpha2)]
+    if b:
+        i = space.cosets.coset_of(alpha)[0]
+        cg = space.cusp_gen(space.cusps.cusp_of[i])
+        out = [x - Fraction(b, d) * y for x, y in zip(out, cg)]
+    if b2:
+        i = space.cosets.coset_of(alpha2)[0]
+        cg = space.cusp_gen(space.cusps.cusp_of[i])
+        out = [x + Fraction(b2, d2) * y for x, y in zip(out, cg)]
+    return out
+
+
+def hecke_rational_fractions(space, q):
+    """T_q or U_q by the double-coset expansion, each image summed in Fractions."""
+    n = space.spec.level
+    if n % q == 0:
+        mats = [((1, i, 0, q), False) for i in range(q)]
+    else:
+        lower, upper = _coset_matrices(q) if q % 2 else (
+            [(1, 0, 0, 2), (1, 1, 0, 2)], (2, 0, 0, 1))
+        mats = [(m, False) for m in lower] + [(upper, True)]
+    dia = diamond(space, q) if n % q else None
+
+    def fn(g, gp):
+        total = [Fraction(0)] * space.rank
+        for m, twist in mats:
+            v = reduce_pair_rational_fractions(space, mmul(m, g), mmul(m, gp))
+            if twist:
+                v = vec_mat(v, dia.mat)
+            total = [x + y for x, y in zip(total, v)]
+        return total
+
+    return operator_from_pair_map(space, fn, f"U{q}" if n % q == 0 else f"T{q}")
+
+
+def atkin_lehner_fractions(space):
+    """W_N via w = ((0,-1),(N,0)), each image in Fractions."""
+    n = space.spec.level
+    w = (0, -1, n, 0)
+    return operator_from_pair_map(
+        space,
+        lambda g, gp: reduce_pair_rational_fractions(space, mmul(w, g), mmul(w, gp)),
+        f"W{n}")

@@ -45,6 +45,14 @@ MATRIX_DIGESTS = {
         "9fe5baac9c77b7a1c61c25dd172385aeec82fb867f8d5346b7161ff02f2c7939",
     ("gamma0", 11, "six_mat"):
         "1846944799dc47455fc550be944f4fe28a048bb21fd882b65d1f6f77ecab61ba",
+    ("gamma0", 25, "U5"):
+        "b3e1dc805a612c10c9d7642852ee7df35f398e3bcc92de8c1e70ce40950906e5",
+    ("gamma0", 36, "U2"):
+        "88c88b921dbec10966fde8625bca67cbc0417c15586b48a1d468ba0ac981c9ba",
+    ("gamma0", 36, "U3"):
+        "9365fbf56a69f49766d2289212b42087f2544382b0bd2a25a10183e7666341db",
+    ("gamma0", 36, "W"):
+        "ea2ff7ee4ecf2d5e00971ecf40dc23a9387204ed53d8ddaceb9ab5ad89236f85",
     ("gamma1", 7, "T2"):
         "2c88ba769e2d9cb665cc74109b2bbc7219e9be7be14232a70b4f024ef9be150a",
     ("gamma1", 7, "T3"):
@@ -55,6 +63,12 @@ MATRIX_DIGESTS = {
         "fe9c2d4b405edb4c3861d3a09cf55ce3236f4d16dab7bb1b1baf60ed4d664ac2",
     ("gamma1", 7, "six_mat"):
         "fd48cc4f9143f0d8d5d596b5ea12de98fc0df8e653360dd032023cc77059b654",
+    ("gamma1", 12, "U2"):
+        "007fa99a9720954ce0775ae4280d3c3b8ac1131767cc2f5a138b012c9f7fbab0",
+    ("gamma1", 12, "U3"):
+        "adde424f4156338d743e821deeb400157dfb1bc404c10f580e9f6500af73a75c",
+    ("gamma1", 12, "W"):
+        "4959f9883a6b73e52db3c7262cff18254110064422411fc2c39f75e352ce95e2",
 }
 
 REPORT_DIGESTS = {
@@ -92,10 +106,13 @@ def matrix_digest(family, level, what):
     if what == "six_mat":
         name, mat = what, dualpair.pairing_matrix(sp).six_mat
     else:
-        op = {"T2": lambda: hecke.hecke_operator(sp, 2),
-              "T3": lambda: hecke.hecke_operator(sp, 3),
-              "W": lambda: hecke.atkin_lehner(sp),
-              "conj": lambda: hecke.complex_conjugation(sp)}[what]()
+        if what == "W":
+            op = hecke.atkin_lehner(sp)
+        elif what == "conj":
+            op = hecke.complex_conjugation(sp)
+        else:  # T<q> or U<q>: hecke_operator names it by the level
+            op = hecke.hecke_operator(sp, int(what[1:]))
+            assert op.name == what
         name, mat = op.name, op.mat
     rows = [[str(Fraction(x)) for x in row] for row in mat]
     text = json.dumps({"name": name, "mat": rows}, sort_keys=True)

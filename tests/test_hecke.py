@@ -112,6 +112,37 @@ class TestAlgebra:
         with pytest.raises(InvalidInputError):
             hecke.hecke_composite(sp, 0)
 
+    @pytest.mark.parametrize("level,names", [
+        (25, {5: "U5", 25: "U25", 125: "U125", 2: "T2", 10: "T10"}),
+        (36, {2: "U2", 3: "U3", 4: "U4", 6: "U6", 12: "U12", 5: "T5",
+              10: "T10"}),
+    ])
+    def test_composite_named_u_when_every_prime_divides_level(self, level, names):
+        sp = _space("gamma0", level)
+        for m, name in names.items():
+            assert hecke.hecke_composite(sp, m).name == name, m
+
+    def test_composite_of_u_is_power_of_u(self):
+        sp = _space("gamma0", 36)
+        u2, u3 = hecke.hecke_operator(sp, 2), hecke.hecke_operator(sp, 3)
+        assert hecke.hecke_composite(sp, 6) == hecke.compose(u2, u3)
+        assert hecke.hecke_composite(sp, 12) == \
+            hecke.compose(hecke.compose(u2, u2), u3)
+
+    def test_composite_leaves_prime_operator_name(self, monkeypatch):
+        sp = _space("gamma0", 25)
+        made = []
+        make = hecke.hecke_operator
+
+        def recording(space, q):
+            made.append(make(space, q))
+            return made[-1]
+
+        monkeypatch.setattr(hecke, "hecke_operator", recording)
+        assert hecke.hecke_composite(sp, 5).name == "U5"
+        assert hecke.hecke_composite(sp, 2).name == "T2"
+        assert [op.name for op in made] == ["U5", "T2"]
+
 
 class TestAgainstClassicalRoute:
     def test_pi_equivariance(self):

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mixsym.mms import (InvalidInputError, boundary, build_space,
                         cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
                         kernel_pi_invariants, manin_index, pi_classical,
-                        reduce_pair, reduce_pair_rational, space_from_dict,
-                        space_to_dict)
+                        reduce_pair, reduce_pair_rational, reduce_pair_scaled,
+                        space_from_dict, space_to_dict)
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul, mpow_t
 from mixsym.zlattice import quotient_by_rows
 
@@ -139,6 +141,64 @@ class TestRationalReduce:
         sp = _space("gamma0", 5)
         with pytest.raises(InvalidInputError):
             reduce_pair_rational(sp, MAT_ID, (1, 0, 0, -1))
+        with pytest.raises(InvalidInputError):
+            reduce_pair_scaled(sp, MAT_ID, (0, 0, 0, 0), 1)
+
+
+def _positive(entries):
+    m = tuple(entries)
+    return m if m[0] * m[3] - m[1] * m[2] > 0 else None
+
+
+_INT_MATRICES = st.tuples(*[st.integers(-12, 12)] * 4).map(_positive)
+_FRACTION_MATRICES = st.tuples(
+    *[st.fractions(-6, 6, max_denominator=4)] * 4).map(_positive)
+_MATRICES = st.one_of(_INT_MATRICES, _FRACTION_MATRICES).filter(bool)
+_SCALED_LEVELS = [("gamma0", 11), ("gamma0", 36), ("gamma1", 7)]
+
+
+def _triangular_denominator(m):
+    """d in m = c * alpha * ((a, b), (0, d)): c > 0 rational, alpha unimodular, d > 0.
+
+    Scaled to primitive integers, a = gcd of the first column and d = det / a.
+    """
+    entries = [Fraction(x) for x in m]
+    mult = 1
+    for x in entries:
+        mult = mult * x.denominator // gcd(mult, x.denominator)
+    ints = [int(x * mult) for x in entries]
+    content = gcd(*ints)
+    a, b, c, d = (x // content for x in ints)
+    return (a * d - b * c) // gcd(a, c)
+
+
+class TestScaledReduce:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_SCALED_LEVELS), _MATRICES, _MATRICES,
+           st.integers(1, 5))
+    def test_scaled_is_scale_times_rational(self, level, m, mp, k):
+        sp = _space(*level)
+        s = k * _triangular_denominator(m) * _triangular_denominator(mp)
+        out = reduce_pair_scaled(sp, m, mp, s)
+        assert out == [s * x for x in reduce_pair_rational(sp, m, mp)]
+        assert all(type(x) is int for x in out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_SCALED_LEVELS), _MATRICES, _MATRICES,
+           st.integers(1, 500))
+    def test_scale_not_clearing_a_denominator_raises(self, level, m, mp, s):
+        d, dp = _triangular_denominator(m), _triangular_denominator(mp)
+        assume(s % d or s % dp)
+        with pytest.raises(InvalidInputError):
+            reduce_pair_scaled(_space(*level), m, mp, s)
+
+    def test_half_translation_scaled(self):
+        sp = _space("gamma0", 5)
+        m = (1, Fraction(1, 2), 0, 1)
+        assert reduce_pair_scaled(sp, MAT_ID, m, 4) == \
+            [2 * x for x in sp.cusp_gen(0)]
+        with pytest.raises(InvalidInputError):
+            reduce_pair_scaled(sp, MAT_ID, m, 3)
 
 
 class TestStructureMaps:

@@ -4,6 +4,8 @@ The library builds operators on the free generators selected by ``lift`` and
 reads the pairing's corner symbols off ``project``.  The reference routes
 below evaluate every ambient generator and multiply by ``lift`` densely, or
 reduce every corner symbol with ``reduce_pair``; both must agree exactly.
+The rational operators (T_2, U_q, W_N) sum scaled integer images and divide
+each entry once; the dense route applies the same division to its product.
 """
 
 import dataclasses
@@ -17,6 +19,8 @@ from mixsym.mms import build_space, reduce_pair
 from mixsym.sl2 import MAT_S, MAT_T, MAT_TAU, GroupSpec, mmul
 from mixsym.zlattice import mat_mul
 
+from _reference import atkin_lehner_fractions, hecke_rational_fractions
+
 LEVELS = [("gamma0", 11), ("gamma0", 25), ("gamma0", 36), ("gamma1", 7),
           ("gamma1", 13)]
 
@@ -27,21 +31,34 @@ def _space(family, level, _cache={}):
     return _cache[(family, level)]
 
 
-def dense_operator(space, fn):
-    """lift * (fn of every ambient generator), the pre-selection route."""
+def dense_operator(space, fn, denominator=1):
+    """lift * (fn of every ambient generator) / denominator, the pre-selection route."""
     ambient = [fn(g, gp) for g, gp in hecke.generator_pairs(space)]
-    return mat_mul(space.quotient.lift, ambient)
+    mat = mat_mul(space.quotient.lift, ambient)
+    if denominator != 1:
+        mat = [[Fraction(x, denominator) for x in row] for row in mat]
+    return mat
+
+
+def _types(mat):
+    return [[type(x) for x in row] for row in mat]
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Record each operator_from_pair_map result with its dense reference."""
+    """Record each operator_from_pair_map result with its dense reference.
+
+    Each record is (name, matrix, dense reference); the two are compared
+    entry for entry and type for type.
+    """
     seen = []
     assemble = hecke.operator_from_pair_map
 
-    def wrapper(space, fn, name):
-        op = assemble(space, fn, name)
-        seen.append((name, op.mat, dense_operator(space, fn)))
+    def wrapper(space, fn, name, denominator=1):
+        op = assemble(space, fn, name, denominator)
+        ref = dense_operator(space, fn, denominator)
+        assert _types(op.mat) == _types(ref), name
+        seen.append((name, op.mat, ref))
         return op
 
     monkeypatch.setattr(hecke, "operator_from_pair_map", wrapper)
@@ -99,6 +116,47 @@ def test_integral_route_returns_plain_ints(family, level):
         if (2 * level) % q:
             op = hecke.hecke_operator(sp, q)
             assert all(type(x) is int for row in op.mat for x in row), q
+
+
+ORACLE_LEVELS = ([("gamma0", n) for n in range(2, 41)]
+                 + [("gamma1", n) for n in range(2, 17)])
+
+
+@pytest.mark.parametrize("family,level", ORACLE_LEVELS)
+def test_rational_operators_match_fraction_route(family, level):
+    """T_2, U_q (q in 2, 3, 5, 7 dividing N) and W_N equal the Fraction route.
+
+    Entry for entry and type for type: the scaled integer sums divided once
+    give the same Fractions as images added up in Fractions.
+    """
+    sp = _space(family, level)
+    pairs = [(hecke.hecke_operator(sp, q), hecke_rational_fractions(sp, q))
+             for q in (2, 3, 5, 7) if q == 2 or level % q == 0]
+    pairs.append((hecke.atkin_lehner(sp), atkin_lehner_fractions(sp)))
+    for op, ref in pairs:
+        assert op.name == ref.name
+        assert op.mat == ref.mat, op.name
+        assert _types(op.mat) == _types(ref.mat), op.name
+
+
+@pytest.mark.parametrize("family,level", [("gamma0", 36), ("gamma1", 12)])
+def test_rational_operators_make_one_fraction_per_entry(monkeypatch, family, level):
+    """T_2, U_q and W_N sum in ints and divide once: rank**2 Fractions each."""
+    sp = _space(family, level)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for build in (lambda: hecke.hecke_operator(sp, 2),
+                  lambda: hecke.hecke_operator(sp, 3),
+                  lambda: hecke.atkin_lehner(sp)):
+        del made[:]
+        op = build()
+        assert len(made) == sp.rank ** 2, op.name
 
 
 def _corner_symbols(space, i):
