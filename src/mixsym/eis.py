@@ -29,6 +29,7 @@ from math import gcd
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp
 
 from .zlattice import factor
 
@@ -166,6 +167,15 @@ def l_even_char_at_1(chi, route="log"):
     -(1/f) * sum of chi(a)*psi(a/f); ``route="partial"`` sums the series
     directly over period blocks with Richardson acceleration, truncated by
     the MMS_TERMS environment bound.  All values are complex doubles.
+
+    The series sum runs in an integer kernel (``_series_totals``) on
+    mantissa-exponent pairs at 103 bits, the precision of
+    ``mpmath.workdps(30)``.  Each product chi(a)*psi(a/f) and each partial
+    sum is rounded to nearest with ties to even, one real and one imaginary
+    part at a time, exactly where an mpc loop at 30 digits rounds.  A
+    correctly rounded result is unique, so every intermediate value, and the
+    returned complex, is bit-identical to that loop's; only the division by
+    -f and the conversion to complex go through mpmath.
     """
     if chi.is_trivial or not chi.is_even:
         raise CharacterError("requires a nontrivial even character")
@@ -179,11 +189,9 @@ def l_even_char_at_1(chi, route="log"):
                 for a in range(1, f) if gcd(a, f) == 1)
         return -tau / f * s
     if route == "series":
-        psi = _digamma_table(f)
+        re, im = _series_totals(chi, _digamma_table(f))
         with mpmath.workdps(30):
-            total = mpmath.mpc(0)
-            for a, psi_a in psi.items():
-                total += mpmath.mpc(chi(a)) * psi_a
+            total = mpmath.mpc(from_man_exp(*re), from_man_exp(*im))
             val = -total / f
         return complex(val)
     if route == "partial":
@@ -195,12 +203,81 @@ def l_even_char_at_1(chi, route="log"):
 def _digamma_table(f):
     """psi(a/f) at 30 digits for each unit a modulo f, in increasing order of a.
 
-    The values depend on the conductor alone, so all characters of
-    conductor f share one table.
+    Entries are triples (a, man, exp) with psi(a/f) = man * 2**exp exactly,
+    man a signed int of at most 103 bits, read off the mpf.  The values
+    depend on the conductor alone, so all characters of conductor f share
+    one table.
     """
+    table = []
     with mpmath.workdps(30):
-        return {a: mpmath.digamma(mpmath.mpf(a) / f)
-                for a in range(1, f) if gcd(a, f) == 1}
+        for a in range(1, f):
+            if gcd(a, f) == 1:
+                sign, man, exp, _ = mpmath.digamma(mpmath.mpf(a) / f)._mpf_
+                table.append((a, -man if sign else man, exp))
+    return table
+
+
+# mpmath.workdps(30) computes at this many bits, rounding to nearest with
+# ties to even.  The kernel below works on pairs (man, exp) standing for
+# man * 2**exp, man a signed int and 0 for zero.
+_PREC = 103
+
+
+def _round_even(man, exp):
+    """The pair man * 2**exp rounded to _PREC significant bits, ties to even."""
+    n = man.bit_length() - _PREC
+    if n <= 0:
+        return man, exp
+    half = 1 << (n - 1)
+    q = (man + half) >> n
+    if q & 1 and man & (2 * half - 1) == half:
+        q -= 1
+    return q, exp + n
+
+
+def _mul(am, ae, bm, be):
+    """The product of two pairs, rounded once: mpmath's mpf_mul at 103 bits."""
+    return _round_even(am * bm, ae + be)
+
+
+def _add(am, ae, bm, be):
+    """The sum of two pairs, formed exactly and rounded once.
+
+    This is mpmath's mpf_add at 103 bits whenever neither operand has more
+    than 103 bits, as in the series.  On wider operands mpf_add may stand in
+    for a far smaller addend with one unit 107 bits below the larger
+    operand's last bit, which can round the other way.
+    """
+    if not bm:
+        return _round_even(am, ae)
+    if not am:
+        return _round_even(bm, be)
+    d = ae - be
+    if d >= 0:
+        return _round_even((am << d) + bm, be)
+    return _round_even(am + (bm << -d), ae)
+
+
+def _double(x):
+    """A finite double as the exact pair (man, exp), man of at most 53 bits."""
+    m, e = math.frexp(x)
+    return int(m * 9007199254740992.0), e - 53
+
+
+def _series_totals(chi, table):
+    """sum over the table of chi(a) * psi(a/f), as (real pair, imaginary pair).
+
+    Term by term this is mpmath's ``total += mpc(chi(a)) * psi``: each part
+    of chi(a) is exact as a pair, and each part's product and running sum
+    is rounded to 103 bits.  A zero part adds nothing.
+    """
+    values = chi.values
+    rm = re = im = ie = 0
+    for a, pm, pe in table:
+        z = values[a]
+        rm, re = _add(rm, re, *_mul(*_double(z.real), pm, pe))
+        im, ie = _add(im, ie, *_mul(*_double(z.imag), pm, pe))
+    return (rm, re), (im, ie)
 
 
 def _l_partial_sums(chi):

@@ -147,27 +147,34 @@ def build_space(spec):
 
 
 def _reduce_to_ambient(space, g, gprime):
-    """Telescoped coordinates of {g, g'} on the ambient generators."""
+    """Telescoped coordinates of {g, g'} on the ambient generators, and g's coset.
+
+    The coset index is the one looked up for the first letter of the word,
+    or None when the word is empty.
+    """
     n = space.n_manin + space.n_cusp
     amb = [0] * n
     word, _ = stword_decompose(mmul(minv(g), gprime))
     prefix = g
+    first = None
     for tok in word:
         i = space.cosets.coset_of(prefix)[0]
+        if first is None:
+            first = i
         if tok[0] == "T":
             amb[space.n_manin + space.cusps.cusp_of[i]] += tok[1]
             prefix = mmul(prefix, mpow_t(tok[1]))
         else:
             amb[i] += 1
             prefix = mmul(prefix, MAT_S)
-    return amb
+    return amb, first
 
 
 def reduce_pair(space, g, gprime):
     """Basis coordinates of the symbol {g, g'} for unimodular g, g'."""
     if det(g) != 1 or det(gprime) != 1:
         raise InvalidInputError("arguments must be unimodular")
-    return vec_mat(_reduce_to_ambient(space, g, gprime), space.quotient.project)
+    return vec_mat(_reduce_to_ambient(space, g, gprime)[0], space.quotient.project)
 
 
 def _primitive_integral(m):
@@ -223,17 +230,20 @@ def reduce_pair_scaled(space, m, mprime, s):
       s * {m, m'} = s * {alpha, alpha'} - (s*b/d) * cusp(alpha)
                     + (s*b'/d') * cusp(alpha'),
 
-    where cusp(alpha) is the cusp generator at alpha's coset.  Raises
-    InvalidInputError unless s is a multiple of both d and d'.
+    where cusp(alpha) is the cusp generator at alpha's coset; alpha's coset
+    is the one the reduction looked up first, unless its word is empty.
+    Raises InvalidInputError unless s is a multiple of both d and d'.
     """
     alpha, b, d = _split_rational(m)
     alpha2, b2, d2 = _split_rational(mprime)
     if s % d or s % d2:
         raise InvalidInputError(f"scale {s} is not a multiple of {d} and {d2}")
-    out = [s * x for x in reduce_pair(space, alpha, alpha2)]
-    for beta, num in ((alpha, -s * b // d), (alpha2, s * b2 // d2)):
+    amb, first = _reduce_to_ambient(space, alpha, alpha2)
+    out = [s * x for x in vec_mat(amb, space.quotient.project)]
+    for beta, i, num in ((alpha, first, -s * b // d), (alpha2, None, s * b2 // d2)):
         if num:
-            i = space.cosets.coset_of(beta)[0]
+            if i is None:
+                i = space.cosets.coset_of(beta)[0]
             cg = space.cusp_gen(space.cusps.cusp_of[i])
             out = [x + num * y for x, y in zip(out, cg)]
     return out

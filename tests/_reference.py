@@ -1,7 +1,11 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, and the Fraction route for the rational operators."""
+polynomial and rank, the Fraction route for the rational operators, and the
+mpc loop for the digamma series."""
 
 from fractions import Fraction
+from math import gcd
+
+import mpmath
 
 from mixsym.hecke import _coset_matrices, diamond, operator_from_pair_map
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
@@ -112,3 +116,19 @@ def atkin_lehner_fractions(space):
         space,
         lambda g, gp: reduce_pair_rational_fractions(space, mmul(w, g), mmul(w, gp)),
         f"W{n}")
+
+
+def digamma_mpf(f):
+    """psi(a/f) as an mpf at 30 digits for each unit a modulo f."""
+    with mpmath.workdps(30):
+        return {a: mpmath.digamma(mpmath.mpf(a) / f)
+                for a in range(1, f) if gcd(a, f) == 1}
+
+
+def series_total_mpc(chi, psi):
+    """sum of chi(a) * psi[a] added up term by term in mpc at 30 digits."""
+    with mpmath.workdps(30):
+        total = mpmath.mpc(0)
+        for a, psi_a in psi.items():
+            total += mpmath.mpc(chi(a)) * psi_a
+    return total

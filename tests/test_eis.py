@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_float, from_man_exp, mpf_add, mpf_mul, mpf_pos
 
 from mixsym import eis
 
@@ -15,6 +17,8 @@ from mixsym.eis import (CharacterError, UnsupportedModulusError, bernoulli2,
                         gauss_sum, l_even_char_at_1, log_cyclotomic_matrices,
                         logdet_identity)
 from mixsym.sl2 import MAT_ID, MAT_S, MAT_T, mmul
+
+from _reference import digamma_mpf, series_total_mpc
 
 
 class TestCharacters:
@@ -133,6 +137,94 @@ class TestDigammaTable:
         after = [l_even_char_at_1(c, route="series") for c in _primitive_even(13)]
         assert after == alone
         assert alone == [_series_reference(c) for c in _primitive_even(13)]
+
+
+def _mpf(pair):
+    """The mpf of a kernel pair (man, exp), normalised without rounding."""
+    return from_man_exp(*pair)
+
+
+_WIDE = st.integers(-(2**200 - 1), 2**200 - 1)
+_NARROW = st.integers(-(2**103 - 1), 2**103 - 1)
+_EXP = st.integers(-300, 300)
+_GAP = st.integers(-400, 400)
+_KEPT = st.integers(2**101, 2**102 - 1)  # 102 bits; 2*k + parity has 103
+_SHIFT = st.integers(1, 300)
+
+
+class TestRoundingKernel:
+    """The kernel's mul and add against mpmath's at 103 bits, rounding 'n'."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WIDE | st.just(0), _EXP, _WIDE | st.just(0), _GAP)
+    def test_mul_matches_mpf_mul(self, am, ae, bm, gap):
+        be = ae + gap
+        assert _mpf(eis._mul(am, ae, bm, be)) == \
+            mpf_mul(from_man_exp(am, ae), from_man_exp(bm, be), 103, "n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NARROW | st.just(0), _EXP, _NARROW | st.just(0), _GAP)
+    def test_add_matches_mpf_add(self, am, ae, bm, gap):
+        # operands of at most 103 bits: every sum the series forms
+        be = ae + gap
+        assert _mpf(eis._add(am, ae, bm, be)) == \
+            mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), 103, "n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WIDE | st.just(0), _EXP, _WIDE | st.just(0), _GAP)
+    def test_add_is_the_exact_sum_rounded(self, am, ae, bm, gap):
+        # wider operands: mpf_add without rounding, then mpmath's rounding
+        be = ae + gap
+        exact = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be))
+        assert _mpf(eis._add(am, ae, bm, be)) == mpf_pos(exact, 103, "n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_KEPT, st.sampled_from([0, 1]), st.sampled_from([1, -1]), _SHIFT, _EXP)
+    def test_exact_ties(self, k, parity, sign, n, e):
+        kept = 2 * k + parity  # 103 bits, last kept bit = parity
+        man = sign * ((kept << n) + (1 << (n - 1)))
+        rounded = sign * (kept + parity)  # ties go to the even neighbour
+        assert _mpf(eis._round_even(man, e)) == _mpf((rounded, e + n))
+        x = from_man_exp(man, e)
+        assert _mpf(eis._round_even(man, e)) == mpf_pos(x, 103, "n")
+        # the same tie reached as a product and as a sum of 103-bit operands
+        tie = sign * (2 * kept + 1)
+        assert _mpf(eis._mul(tie, e, 1, n - 1)) == \
+            mpf_mul(from_man_exp(tie, e), from_man_exp(1, n - 1), 103, "n")
+        a, b = from_man_exp(sign * kept, e + n), from_man_exp(sign, e + n - 1)
+        assert _mpf(eis._add(sign * kept, e + n, sign, e + n - 1)) == \
+            _mpf((rounded, e + n)) == mpf_add(a, b, 103, "n")
+
+    def test_exact_zeros(self):
+        one = (1, 0)
+        assert eis._mul(0, 5, 3, -7)[0] == 0
+        assert _mpf(eis._add(0, 9, *one)) == _mpf(one)
+        assert _mpf(eis._add(*one, 0, -900)) == _mpf(one)
+        assert eis._add(0, 3, 0, -3)[0] == 0
+        assert eis._add(5, 0, -5, 0)[0] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_double_is_exact(self, x):
+        man, exp = eis._double(x)
+        assert abs(man).bit_length() <= 53
+        assert _mpf((man, exp)) == from_float(x)
+
+
+class TestSeriesTotals:
+    @pytest.mark.parametrize(
+        "m", [5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169, 97])
+    def test_totals_equal_mpc_loop(self, m):
+        """The 103-bit totals, not only the final doubles, equal the mpc loop's."""
+        psi = digamma_mpf(m)
+        table = eis._digamma_table(m)
+        assert [(a, _mpf((man, exp))) for a, man, exp in table] == \
+            [(a, v._mpf_) for a, v in psi.items()]
+        chars = _primitive_even(m)
+        assert chars
+        for chi in chars:
+            re, im = eis._series_totals(chi, table)
+            assert (_mpf(re), _mpf(im)) == series_total_mpc(chi, psi)._mpc_
 
 
 def _matrices_reference(pn):
