@@ -8,8 +8,7 @@ action.
 
 from fractions import Fraction
 
-from .sl2 import MAT_ID, gcdex, mmul
-from .mms import InvalidInputError
+from .sl2 import MAT_ID, gamma0_with_lower_right, gcdex, mmul
 from .zlattice import mat_mul
 
 INFINITY = None
@@ -89,14 +88,6 @@ def boundary_matrix(space):
     return mat_mul(space.classical.lift, ambient)
 
 
-def _gamma0_with_lower_right(n, d):
-    d %= n
-    x, y, g = gcdex(d, n)
-    if g != 1:
-        raise InvalidInputError("entry must be a unit modulo the level")
-    return (x, -y, n, d)
-
-
 def _apply_mats(space, mats):
     """Matrix of x -> sum over m in mats of {m*alpha, m*beta} on the basis."""
     n_cl = space.classical.rank
@@ -118,7 +109,7 @@ def _apply_mats(space, mats):
 def _diamond_rep(space, d):
     if space.spec.family != "gamma1" or space.spec.level == 1:
         return MAT_ID
-    return _gamma0_with_lower_right(space.spec.level, d)
+    return gamma0_with_lower_right(space.spec.level, d)
 
 
 def hecke_matrix(space, q):

@@ -13,7 +13,6 @@ emitted with status "report" and only fail the run under --strict.
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -25,8 +24,7 @@ from .mms import (DocumentMismatchError, InvalidInputError, build_space,
                   kernel_pi_invariants, manin_index, space_from_dict,
                   space_to_dict)
 from . import classical, dualpair, eis, hecke
-from .zlattice import (common_denominator, factor, mat_mul, mat_scale,
-                       scale_to_int)
+from .zlattice import factor, mat_mul, mat_scale
 
 DEFAULT_LEVELS = [5, 7, 11, 13]
 DEFAULT_PRIMES = [2, 3, 5, 7]
@@ -135,17 +133,15 @@ def suite_hecke(rep, family, spaces, primes, **_):
                   all(hecke.operators_commute(conj, op) for op in ops), "")
         for q, op in zip(primes, ops):
             cl = classical.hecke_matrix(sp, q)
-            d = common_denominator(op.mat, cl)
-            lhs = mat_mul(scale_to_int(d, op.mat), sp.pi_basis)
-            rhs = mat_mul(sp.pi_basis, scale_to_int(d, cl))
+            lhs = mat_mul(op.num, sp.pi_basis)
+            rhs = mat_scale(op.den, mat_mul(sp.pi_basis, cl))
             rep.check(f"pi-equivariance/T{q}/{tag}", lhs == rhs, "")
         if family == "gamma0" and _odd_prime_base(lvl) == lvl:
             for q, op in zip(primes, ops):
                 scale = 1 if lvl % q == 0 else q + 1
                 cs = sp.cusp_sublattice()
-                d = op.denominator
-                img = mat_mul(cs, scale_to_int(d, op.mat))
-                want = mat_scale(d * scale, cs)
+                img = mat_mul(cs, op.num)
+                want = mat_scale(op.den * scale, cs)
                 rep.check(f"eisenstein-action/T{q}/{tag}", img == want,
                           f"T_q acts by {scale} on ker(pi)")
 
@@ -229,8 +225,6 @@ def _write(text, path):
 
 
 def run_verify(args):
-    tol = args.tol if args.tol is not None else \
-        _tolerance(os.environ.get("MMS_TOL", str(eis.DEFAULT_TOL)))
     levels = DEFAULT_LEVELS if args.levels is None else args.levels
     primes = DEFAULT_PRIMES if args.primes is None else args.primes
     pn_list = DEFAULT_PN if args.pn is None else args.pn
@@ -239,7 +233,7 @@ def run_verify(args):
     # every suite takes **_, so all of them get the same keywords; the spaces
     # are built once and shared, unless the eis suite, which needs none, runs alone
     kwargs = {"family": args.family, "primes": primes,
-              "pn_list": pn_list, "tol": tol, "strict": args.strict,
+              "pn_list": pn_list, "tol": args.tol, "strict": args.strict,
               "spaces": [] if suites == ["eis"] else list(_spaces(args.family, levels))}
     for name in suites:
         SUITES[name](rep, **kwargs)
@@ -339,8 +333,8 @@ def build_parser():
                    help="comma-separated Hecke primes")
     v.add_argument("--pn", type=_odd_prime_power_list, default=None,
                    help="comma-separated odd prime powers for the eis suite")
-    v.add_argument("--tol", type=_tolerance, default=None,
-                   help="finite positive tolerance (default: $MMS_TOL or 1e-8)")
+    v.add_argument("--tol", type=_tolerance, default=eis.DEFAULT_TOL,
+                   help=f"finite positive tolerance (default: {eis.DEFAULT_TOL})")
     v.add_argument("--strict", action="store_true",
                    help="fail on conjecture-level mismatches too")
     v.add_argument("--out", default=None)

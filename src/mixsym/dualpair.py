@@ -38,8 +38,8 @@ from math import isqrt, prod
 
 from .mms import InvalidInputError, expected_homology_index
 from .zlattice import (common_denominator, factor, kernel_basis, lcm_list,
-                       mat_mul, mat_scale, mat_transpose, scale_to_int,
-                       smith_invariants, vec_mat)
+                       mat_mul, mat_scale, mat_transpose, smith_invariants,
+                       vec_mat)
 
 
 @dataclass
@@ -172,7 +172,7 @@ def conj_anti_invariance(space, pairing, conj_op):
     phi * C^T, so the identity reads C^T * P = -P * C; both sides are
     compared after scaling by 6 and by the denominator of C.
     """
-    c = scale_to_int(common_denominator(conj_op.mat), conj_op.mat)
+    c = conj_op.num
     six = pairing.six_mat
     return mat_mul(mat_transpose(c), six) == mat_scale(-1, mat_mul(six, c))
 
@@ -182,13 +182,13 @@ def adjointness_check(space, pairing, op, w_op):
 
     On functionals the operator with element-side matrix M acts by
     phi -> phi * M^T, so <M phi, psi> = <phi, (W M W^-1) psi> for all phi,
-    psi amounts to M^T * P = P * (W * M * W).  With d a common denominator
-    of M and W, both sides are compared after scaling by 6 * d^3.
+    psi amounts to M^T * P = P * (W * M * W).  With M = m / d and W = w / e
+    for int matrices m and w, both sides are compared after scaling by
+    6 * d * e^2.
     """
-    d = common_denominator(op.mat, w_op.mat)
-    m, w = scale_to_int(d, op.mat), scale_to_int(d, w_op.mat)
+    m, w = op.num, w_op.num
     six = pairing.six_mat
-    lhs = mat_scale(d * d, mat_mul(mat_transpose(m), six))
+    lhs = mat_scale(w_op.den ** 2, mat_mul(mat_transpose(m), six))
     rhs = mat_mul(six, mat_mul(w, mat_mul(m, w)))
     return lhs == rhs
 
@@ -248,6 +248,7 @@ def lambda_to_mms(space, lam):
     Realizes sum over cosets of (1/6)*lambda_{g tau}*({gS,g} - {gtau^2 S, gtau^2})
     - (2/3)*lambda_g*{g,gT}; the input must satisfy both cycle conditions.
     """
+    _check_cycle_conditions(space, lam)
     return [Fraction(x, 6) for x in _six_times_cycle(space, lam)]
 
 
@@ -256,8 +257,8 @@ def _six_times_cycle(space, lam):
 
     With {gS,g} = -ManinGen(i) and {g,gT} = CuspGen(c(i)) the summand at
     coset i is lambda_{i tau} * (M_{i tau^2} - M_i) - 4 * lambda_i * C_c(i).
+    The caller has checked the cycle conditions on lam.
     """
-    _check_cycle_conditions(space, lam)
     project = space.quotient.project
     out = [0] * space.rank
     for i in range(space.n_manin):

@@ -22,7 +22,6 @@ map of the symbol lattice becomes an isomorphism over R at prime-power level.
 import cmath
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -44,9 +43,8 @@ class CharacterError(Exception):
 
 DEFAULT_TOL = 1e-8
 
-
-def _term_bound():
-    return int(os.environ.get("MMS_TERMS", "1000000"))
+# the most terms the partial-sum L-value route adds up
+TERM_BUDGET = 1000000
 
 
 def _odd_prime_power(m):
@@ -97,8 +95,9 @@ class DirichletCharacter:
         """The primitive character of modulus ``conductor`` inducing this one.
 
         A character of prime-power modulus is constant on unit residues with
-        a common reduction modulo its conductor, so the induced table is read
-        off by lifting each unit modulo the conductor.
+        a common reduction modulo its conductor.  A unit b modulo f = p^e is
+        prime to p, so it is itself a unit modulo the modulus, and the
+        induced table is read off at b.
         """
         f = self.conductor
         if f == self.modulus:
@@ -108,17 +107,9 @@ class DirichletCharacter:
         vals = {}
         for b in range(1, f):
             if gcd(b, f) == 1:
-                vals[b] = self.values[_unit_lift(b, f, self.modulus)]
+                vals[b] = self.values[b]
         return DirichletCharacter(f, self.index * f // self.modulus
                                   if self.modulus else 0, vals, f, self.is_even)
-
-
-def _unit_lift(b, f, m):
-    """A unit modulo m reducing to the unit b modulo f (f | m, prime powers)."""
-    for y in range(b, m, f):
-        if gcd(y, m) == 1:
-            return y
-    raise AssertionError("no unit lift")
 
 
 def characters_mod(m):
@@ -142,8 +133,8 @@ def characters_mod(m):
         # g^(phi / p^(n-e)), so chi_j is trivial on them exactly when p^(n-e)
         # divides j
         conductor = p ** (n - factor(j).get(p, 0)) if j else 1
-        is_even = abs(vals[m - 1] - 1) < 1e-9
-        out.append(DirichletCharacter(m, j, vals, conductor, is_even))
+        # -1 = g^(phi/2), so chi_j(-1) = e^(pi*i*j) is 1 exactly for even j
+        out.append(DirichletCharacter(m, j, vals, conductor, j % 2 == 0))
     return out
 
 
@@ -166,7 +157,7 @@ def l_even_char_at_1(chi, route="log"):
     evaluates the Dirichlet series through the digamma closed form
     -(1/f) * sum of chi(a)*psi(a/f); ``route="partial"`` sums the series
     directly over period blocks with Richardson acceleration, truncated by
-    the MMS_TERMS environment bound.  All values are complex doubles.
+    ``TERM_BUDGET``.  All values are complex doubles.
 
     The series sum runs in an integer kernel (``_series_totals``) on
     mantissa-exponent pairs at 103 bits, the precision of
@@ -290,7 +281,7 @@ def _l_partial_sums(chi):
     f = chi.modulus
     levels = 5
     base = 64
-    while base * (2 ** (levels - 1)) * f > _term_bound() and levels > 1:
+    while base * (2 ** (levels - 1)) * f > TERM_BUDGET and levels > 1:
         levels -= 1
 
     def partial(blocks):

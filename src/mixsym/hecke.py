@@ -14,40 +14,49 @@ unimodular,
 where i runs over -(q-1)/2 .. (q-1)/2, g_i = ((1,i),(0,q)) and
 g_oo = ((q,0),(0,1)).  For q dividing 2N the same double-coset expansion is
 evaluated through rational symbols, whose denominators divide q: each
-image is summed in ints as q times its coordinates (``reduce_pair_scaled``)
-and every matrix entry is divided by q once, at the end.  W_N is assembled
-the same way with N in place of q.  Fraction entries occur only on these two
-routes.
+image is summed in ints as q times its coordinates (``reduce_pair_scaled``).
+W_N is assembled the same way with N in place of q.
+
+Every operator is stored as an int matrix ``num`` over one positive int
+``den`` (q for T_2 and U_q, N for W_N, 1 otherwise).  Products and checks
+run on ``num`` and ``den`` in ints; ``mat`` divides on read, giving Fraction
+entries only when ``den`` is not 1.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .sl2 import MAT_S, MAT_T, conj_entries, gcdex, mmul
+from .sl2 import MAT_S, MAT_T, conj_entries, gamma0_with_lower_right, gcdex, mmul
 from .mms import InvalidInputError, reduce_pair, reduce_pair_scaled
-from .zlattice import (common_denominator, factor, identity_matrix, mat_mul,
-                       scale_to_int, vec_mat)
+from .zlattice import factor, identity_matrix, mat_mul, vec_mat
 
 
 @dataclass
 class OperatorMatrix:
-    """Named exact matrix (int or Fraction entries) on the symbol-space basis."""
+    """Named exact operator on the symbol-space basis: the int matrix num / den."""
 
     name: str
-    mat: list
+    num: list
+    den: int = 1
+
+    @property
+    def mat(self):
+        """The matrix itself: ``num`` when ``den`` is 1, else Fraction entries."""
+        if self.den == 1:
+            return self.num
+        return [[Fraction(x, self.den) for x in row] for row in self.num]
 
     @property
     def denominator(self):
-        return common_denominator(self.mat)
+        """The least common denominator of the entries of ``mat``."""
+        return self.den // gcd(self.den, *(x for row in self.num for x in row))
 
     def is_integral(self):
         return self.denominator == 1
 
     def __eq__(self, other):
         return self.mat == (other.mat if isinstance(other, OperatorMatrix) else other)
-
-    def normalized(self):
-        return [[Fraction(x) for x in row] for row in self.mat]
 
 
 def identity_operator(space, name="id"):
@@ -56,7 +65,8 @@ def identity_operator(space, name="id"):
 
 def compose(a, b, name=None):
     """Operator applying a first, then b (row-vector convention)."""
-    return OperatorMatrix(name or f"{a.name}*{b.name}", mat_mul(a.mat, b.mat))
+    return OperatorMatrix(name or f"{a.name}*{b.name}", mat_mul(a.num, b.num),
+                          a.den * b.den)
 
 
 def generator_pairs(space):
@@ -75,12 +85,12 @@ def generator_pairs(space):
 
 
 def operator_from_pair_map(space, fn, name, denominator=1):
-    """Assemble the matrix of the map {g,g'} -> fn(g,g') / denominator.
+    """Assemble the operator {g,g'} -> fn(g,g') / denominator.
 
     fn gives basis coordinates times ``denominator``.  Row j combines the
     images of the ambient generators with the integer coefficients of row j
-    of ``lift``; fn runs once per generator that occurs.  For a denominator
-    other than 1 each entry is divided once, at the end, into a Fraction.
+    of ``lift``; fn runs once per generator that occurs.  The sums are kept
+    as ``num`` over ``den = denominator``; nothing is divided.
     """
     pairs = generator_pairs(space)
     images = {}
@@ -93,9 +103,7 @@ def operator_from_pair_map(space, fn, name, denominator=1):
                     images[k] = fn(*pairs[k])
                 row = [x + c * y for x, y in zip(row, images[k])]
         rows.append(row)
-    if denominator != 1:
-        rows = [[Fraction(x, denominator) for x in row] for row in rows]
-    return OperatorMatrix(name, rows)
+    return OperatorMatrix(name, rows, denominator)
 
 
 def complex_conjugation(space):
@@ -106,16 +114,6 @@ def complex_conjugation(space):
         "conj")
 
 
-def _gamma0_with_lower_right(n, d):
-    """A matrix in Gamma0(n) whose lower-right entry is congruent to d mod n."""
-    d %= n
-    x, y, g = gcdex(d, n)
-    if g != 1:
-        raise InvalidInputError("entry must be a unit modulo the level")
-    # x*d + y*n = 1, so (x, -y, n, d) has determinant x*d + y*n = 1
-    return (x, -y, n, d)
-
-
 def diamond(space, d):
     """The diamond operator <d>; the identity for Gamma0 and level 1."""
     n = space.spec.level
@@ -123,7 +121,7 @@ def diamond(space, d):
         raise InvalidInputError("diamond requires gcd(d, level) = 1")
     if space.spec.family != "gamma1" or n == 1:
         return identity_operator(space, f"diamond({d})")
-    gamma = _gamma0_with_lower_right(n, d)
+    gamma = gamma0_with_lower_right(n, d)
     return operator_from_pair_map(
         space,
         lambda g, gp: reduce_pair(space, mmul(gamma, g), mmul(gamma, gp)),
@@ -171,14 +169,12 @@ def _hecke_integral(space, q, name):
         return reduce_pair(space, t, tp)
 
     def fn(g, gp):
-        total = vec_mat(image(upper, g, gp), dia.mat)
+        total = vec_mat(image(upper, g, gp), dia.num)
         for gi in lower:
             total = [x + y for x, y in zip(total, image(gi, g, gp))]
         return total
 
-    op = operator_from_pair_map(space, fn, name)
-    assert op.is_integral(), f"{name} unexpectedly non-integral"
-    return op
+    return operator_from_pair_map(space, fn, name)
 
 
 def _hecke_rational(space, q, name):
@@ -197,7 +193,7 @@ def _hecke_rational(space, q, name):
         for m, twist in mats:
             v = reduce_pair_scaled(space, mmul(m, g), mmul(m, gp), q)
             if twist:
-                v = vec_mat(v, dia.mat)
+                v = vec_mat(v, dia.num)
             total = [x + y for x, y in zip(total, v)]
         return total
 
@@ -235,33 +231,39 @@ def hecke_composite(space, m):
         return identity_operator(space, "T1")
     n = space.spec.level
     fac = factor(m)
-    mat = None
+    num, den = None, 1
     for q, k in fac.items():
-        op = _prime_power_hecke(space, q, k, n)
-        mat = op if mat is None else mat_mul(mat, op)
+        num_q, den_q = _prime_power_hecke(space, q, k, n)
+        num = num_q if num is None else mat_mul(num, num_q)
+        den *= den_q
     name = f"U{m}" if all(n % q == 0 for q in fac) else f"T{m}"
-    return OperatorMatrix(name, mat)
+    return OperatorMatrix(name, num, den)
 
 
 def _prime_power_hecke(space, q, k, n):
-    """The matrix of T_{q^k} (U_q^k when q divides the level)."""
-    tq = hecke_operator(space, q).mat
+    """T_{q^k} (U_q^k when q divides the level) as (int matrix, denominator).
+
+    With T_q = t / d, U_q^k is t^k over d^k.  Otherwise C_j = d^j * T_{q^j}
+    satisfies C_{j+1} = C_j * t - q * d^2 * C_{j-1} * <q>, the recurrence
+    T_{q^(j+1)} = T_{q^j} * T_q - q * T_{q^(j-1)} * <q> scaled by d^(j+1),
+    and T_{q^k} is C_k over d^k.
+    """
+    tq = hecke_operator(space, q)
+    t, d = tq.num, tq.den
     if n % q == 0:
-        out = tq
+        out = t
         for _ in range(k - 1):
-            out = mat_mul(out, tq)
-        return out
-    dia = diamond(space, q).mat
-    prev, cur = identity_matrix(space.rank), tq
+            out = mat_mul(out, t)
+        return out, d ** k
+    dia = diamond(space, q).num
+    prev, cur = identity_matrix(space.rank), t
     for _ in range(k - 1):
         correction = mat_mul(prev, dia)
-        nxt = [[a - q * b for a, b in zip(ra, rb)]
-               for ra, rb in zip(mat_mul(cur, tq), correction)]
+        nxt = [[a - q * d * d * b for a, b in zip(ra, rb)]
+               for ra, rb in zip(mat_mul(cur, t), correction)]
         prev, cur = cur, nxt
-    return cur
+    return cur, d ** k
 
 
 def operators_commute(a, b):
-    d = common_denominator(a.mat, b.mat)
-    x, y = scale_to_int(d, a.mat), scale_to_int(d, b.mat)
-    return mat_mul(x, y) == mat_mul(y, x)
+    return mat_mul(a.num, b.num) == mat_mul(b.num, a.num)

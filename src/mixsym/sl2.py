@@ -63,6 +63,18 @@ def gcdex(a, b):
     return y, x - y * q, g
 
 
+def gamma0_with_lower_right(n, d):
+    """A matrix in Gamma0(n) whose lower-right entry is congruent to d mod n.
+
+    Callers pass d prime to n.
+    """
+    d %= n
+    x, y, g = gcdex(d, n)
+    assert g == 1, "entry must be a unit modulo the level"
+    # x*d + y*n = 1, so (x, -y, n, d) has determinant x*d + y*n = 1
+    return (x, -y, n, d)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A congruence group: Gamma0(N), Gamma1(N), or all of SL2(Z)."""

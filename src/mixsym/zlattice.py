@@ -353,11 +353,6 @@ def common_denominator(*mats):
     return lcm_list(x.denominator for m in mats for row in m for x in row)
 
 
-def scale_to_int(d, a):
-    """The int matrix d * a, for d a common denominator of a's entries."""
-    return [[(d * x).numerator for x in row] for row in a]
-
-
 def factor(n):
     """Prime factorisation of |n| by trial division, as {prime: exponent}.
 

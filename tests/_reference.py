@@ -1,17 +1,18 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, the Fraction route for the rational operators, and the
-mpc loop for the digamma series."""
+polynomial and rank, the Fraction routes for the rational and composite
+Hecke operators, and the mpc loop for the digamma series."""
 
 from fractions import Fraction
 from math import gcd
 
 import mpmath
 
-from mixsym.hecke import _coset_matrices, diamond, operator_from_pair_map
+from mixsym.hecke import (_coset_matrices, diamond, hecke_operator,
+                          operator_from_pair_map)
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
 from mixsym.sl2 import mmul
-from mixsym.zlattice import hnf, identity_matrix, mat_mul, vec_mat
+from mixsym.zlattice import factor, hnf, identity_matrix, mat_mul, vec_mat
 
 
 def mat_rank(a):
@@ -116,6 +117,32 @@ def atkin_lehner_fractions(space):
         space,
         lambda g, gp: reduce_pair_rational_fractions(space, mmul(w, g), mmul(w, gp)),
         f"W{n}")
+
+
+def hecke_composite_fractions(space, m):
+    """The matrix of T_m by the recurrences run on the divided Fraction matrices.
+
+    U_q^k for q dividing the level, else T_{q^(k+1)} = T_{q^k} * T_q
+    - q * T_{q^(k-1)} * <q>; the prime powers of m are multiplied in turn.
+    """
+    n = space.spec.level
+    out = None
+    for q, k in factor(m).items():
+        tq = hecke_operator(space, q).mat
+        if n % q == 0:
+            cur = tq
+            for _ in range(k - 1):
+                cur = mat_mul(cur, tq)
+        else:
+            dia = diamond(space, q).mat
+            prev, cur = identity_matrix(space.rank), tq
+            for _ in range(k - 1):
+                correction = mat_mul(prev, dia)
+                nxt = [[a - q * b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(mat_mul(cur, tq), correction)]
+                prev, cur = cur, nxt
+        out = cur if out is None else mat_mul(out, cur)
+    return out
 
 
 def digamma_mpf(f):

@@ -131,11 +131,6 @@ class TestVerify:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["suite"] == "rank"
 
-    def test_tol_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("MMS_TOL", "1e-6")
-        code, _, _ = _run(capsys, ["verify", "--suite", "eis", "--pn", "5"])
-        assert code == 0
-
 
 class TestExportImport:
     def test_round_trip(self, capsys, tmp_path):

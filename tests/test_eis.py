@@ -93,7 +93,7 @@ class TestGaussAndL:
             l_even_char_at_1(even, route="bogus")
 
     def test_partial_route_respects_term_budget(self, monkeypatch):
-        monkeypatch.setenv("MMS_TERMS", "2000")
+        monkeypatch.setattr(eis, "TERM_BUDGET", 2000)
         chi = next(c for c in characters_mod(5)
                    if c.is_even and not c.is_trivial)
         v = l_even_char_at_1(chi, route="partial")

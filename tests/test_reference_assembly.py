@@ -4,8 +4,9 @@ The library builds operators on the free generators selected by ``lift`` and
 reads the pairing's corner symbols off ``project``.  The reference routes
 below evaluate every ambient generator and multiply by ``lift`` densely, or
 reduce every corner symbol with ``reduce_pair``; both must agree exactly.
-The rational operators (T_2, U_q, W_N) sum scaled integer images and divide
-each entry once; the dense route applies the same division to its product.
+The rational operators (T_2, U_q, W_N) sum scaled integer images over one
+denominator, and ``mat`` divides each entry by it on read; the dense route
+applies the same division to its product.
 """
 
 import dataclasses
@@ -17,9 +18,10 @@ import pytest
 from mixsym import dualpair, hecke
 from mixsym.mms import build_space, reduce_pair
 from mixsym.sl2 import MAT_S, MAT_T, MAT_TAU, GroupSpec, mmul
-from mixsym.zlattice import mat_mul
+from mixsym.zlattice import common_denominator, mat_mul
 
-from _reference import atkin_lehner_fractions, hecke_rational_fractions
+from _reference import (atkin_lehner_fractions, hecke_composite_fractions,
+                        hecke_rational_fractions)
 
 LEVELS = [("gamma0", 11), ("gamma0", 25), ("gamma0", 36), ("gamma1", 7),
           ("gamma1", 13)]
@@ -127,7 +129,9 @@ def test_rational_operators_match_fraction_route(family, level):
     """T_2, U_q (q in 2, 3, 5, 7 dividing N) and W_N equal the Fraction route.
 
     Entry for entry and type for type: the scaled integer sums divided once
-    give the same Fractions as images added up in Fractions.
+    give the same Fractions as images added up in Fractions.  For these, T_3
+    and conjugation, ``denominator`` is the least common denominator of
+    ``mat``'s entries.
     """
     sp = _space(family, level)
     pairs = [(hecke.hecke_operator(sp, q), hecke_rational_fractions(sp, q))
@@ -137,11 +141,26 @@ def test_rational_operators_match_fraction_route(family, level):
         assert op.name == ref.name
         assert op.mat == ref.mat, op.name
         assert _types(op.mat) == _types(ref.mat), op.name
+    ops = [op for op, _ in pairs]
+    ops += [hecke.hecke_operator(sp, 3), hecke.complex_conjugation(sp)]
+    for op in ops:
+        assert op.denominator == common_denominator(op.mat), op.name
+
+
+@pytest.mark.parametrize("family,level", [("gamma0", 11), ("gamma0", 25),
+                                          ("gamma0", 36), ("gamma1", 12)])
+def test_composite_matches_fraction_recurrence(family, level):
+    """T_m summed in ints over one denominator equals the Fraction recurrences."""
+    sp = _space(family, level)
+    for m in (4, 6, 8, 9, 12, 25):
+        assert hecke.hecke_composite(sp, m).mat == \
+            hecke_composite_fractions(sp, m), m
 
 
 @pytest.mark.parametrize("family,level", [("gamma0", 36), ("gamma1", 12)])
 def test_rational_operators_make_one_fraction_per_entry(monkeypatch, family, level):
-    """T_2, U_q and W_N sum in ints and divide once: rank**2 Fractions each."""
+    """T_2, U_q and W_N are assembled without a Fraction; reading ``mat``
+    makes one per entry."""
     sp = _space(family, level)
     made = []
     new = Fraction.__new__
@@ -156,7 +175,9 @@ def test_rational_operators_make_one_fraction_per_entry(monkeypatch, family, lev
                   lambda: hecke.atkin_lehner(sp)):
         del made[:]
         op = build()
-        assert len(made) == sp.rank ** 2, op.name
+        assert made == [] and op.den > 1, op.name
+        mat = op.mat
+        assert len(made) == len(mat) ** 2 == sp.rank ** 2, op.name
 
 
 def _corner_symbols(space, i):
