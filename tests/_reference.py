@@ -7,8 +7,8 @@ from math import gcd
 
 import mpmath
 
-from mixsym.hecke import (_coset_matrices, diamond, hecke_operator,
-                          operator_from_pair_map)
+from mixsym.hecke import (_coset_matrices, diamond, generator_pairs,
+                          hecke_operator)
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
 from mixsym.sl2 import mmul
@@ -86,6 +86,18 @@ def reduce_pair_rational_fractions(space, m, mprime):
     return out
 
 
+def _fraction_operator(space, fn):
+    """lift * (fn of each ambient generator): the operator matrix in Fractions.
+
+    fn runs only on the generators that ``lift`` uses; the others are zero.
+    """
+    lift = space.quotient.lift
+    used = {k for row in lift for k, c in enumerate(row) if c}
+    zero = [Fraction(0)] * space.rank
+    return mat_mul(lift, [fn(*pair) if k in used else zero
+                          for k, pair in enumerate(generator_pairs(space))])
+
+
 def hecke_rational_fractions(space, q):
     """T_q or U_q by the double-coset expansion, each image summed in Fractions."""
     n = space.spec.level
@@ -106,17 +118,16 @@ def hecke_rational_fractions(space, q):
             total = [x + y for x, y in zip(total, v)]
         return total
 
-    return operator_from_pair_map(space, fn, f"U{q}" if n % q == 0 else f"T{q}")
+    return _fraction_operator(space, fn)
 
 
 def atkin_lehner_fractions(space):
     """W_N via w = ((0,-1),(N,0)), each image in Fractions."""
     n = space.spec.level
     w = (0, -1, n, 0)
-    return operator_from_pair_map(
+    return _fraction_operator(
         space,
-        lambda g, gp: reduce_pair_rational_fractions(space, mmul(w, g), mmul(w, gp)),
-        f"W{n}")
+        lambda g, gp: reduce_pair_rational_fractions(space, mmul(w, g), mmul(w, gp)))
 
 
 def hecke_composite_fractions(space, m):

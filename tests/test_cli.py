@@ -3,10 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mixsym
 from mixsym.cli import main
 
 
@@ -251,3 +255,20 @@ class TestContractFuzz:
         code, err = _exit(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_other_third_party_package():
+    """The float layer runs on plain floats: the only dependency is mpmath.
+
+    A fresh interpreter imports ``mixsym.cli``; every top-level module that
+    this import adds must be in the standard library, ``mixsym``, ``mpmath``
+    or the gmpy backend that mpmath loads where it is installed.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mixsym.__file__)))
+    code = ("import sys; before = set(sys.modules); import mixsym.cli; "
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(*sorted(added - set(sys.stdlib_module_names)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert set(out.split()) <= {"mixsym", "mpmath", "gmpy", "gmpy2"}, out

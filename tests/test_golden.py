@@ -73,14 +73,14 @@ MATRIX_DIGESTS = {
 
 REPORT_DIGESTS = {
     ("verify", "--suite", "eis", "--pn", "27,49,81,121,125,169"):
-        "78042f603c16b29ea356c0cbc41f11e59972cb0634d9cb4983ece810366231d2",
+        "640369f4206ddd0777b2dc9d84c6a8c784481ac96663bfcfed1ff6f3f4f2340c",
     ("verify", "--suite", "all", "--family", "gamma1",
      "--levels", "5,7,11,13"):
-        "17477308d90db55e7385594b59d4de6c8b010d5fbbaae1dbeb795774524e5af5",
+        "ab04917e7d80e16c96024ba9721c75283e1f23d3d66ed1229d6fdf7859b7762d",
     ("verify", "--suite", "all"):
-        "582f1aa18ed46d97ee21bde1b8756d5dfab36a52635612b58c8ff48b0a5a294a",
+        "7c6dfb6015757ac1bdd034221cfb9f4e3efd31d75a5f586039a276f8c2da36f4",
     ("verify", "--suite", "all", "--strict", "--format", "markdown"):
-        "b79e12f83f2e774023d967057afbf1608632e7171c9397ae3dfb5327b05d0dc2",
+        "ad7d8f8212c8537450b9d0e51f1ae90c9c1eba917f5cb12d253cfdccf91b921b",
     ("verify", "--suite", "pairing", "--levels", "2,3,4,6,9,25,27",
      "--strict"):
         "efed266f5686d25a8141f5512507da7bec330c21340dfd28adbd1f35d1a5ea08",

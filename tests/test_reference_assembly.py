@@ -134,14 +134,15 @@ def test_rational_operators_match_fraction_route(family, level):
     ``mat``'s entries.
     """
     sp = _space(family, level)
-    pairs = [(hecke.hecke_operator(sp, q), hecke_rational_fractions(sp, q))
-             for q in (2, 3, 5, 7) if q == 2 or level % q == 0]
-    pairs.append((hecke.atkin_lehner(sp), atkin_lehner_fractions(sp)))
-    for op, ref in pairs:
-        assert op.name == ref.name
-        assert op.mat == ref.mat, op.name
-        assert _types(op.mat) == _types(ref.mat), op.name
-    ops = [op for op, _ in pairs]
+    triples = [(hecke.hecke_operator(sp, q), hecke_rational_fractions(sp, q),
+                f"U{q}" if level % q == 0 else f"T{q}")
+               for q in (2, 3, 5, 7) if q == 2 or level % q == 0]
+    triples.append((hecke.atkin_lehner(sp), atkin_lehner_fractions(sp), f"W{level}"))
+    for op, ref, name in triples:
+        assert op.name == name
+        assert op.mat == ref, op.name
+        assert _types(op.mat) == _types(ref), op.name
+    ops = [op for op, _, _ in triples]
     ops += [hecke.hecke_operator(sp, 3), hecke.complex_conjugation(sp)]
     for op in ops:
         assert op.denominator == common_denominator(op.mat), op.name
