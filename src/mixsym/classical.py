@@ -38,7 +38,7 @@ def matrix_to_cusp(x):
 
 def cusp_class_of_point(space, x):
     """Cusp-class index of a point of P^1(Q)."""
-    i = space.cosets.coset_of(matrix_to_cusp(x))[0]
+    i = space.cosets.coset_of(matrix_to_cusp(x))
     return space.cusps.cusp_of[i]
 
 
@@ -74,7 +74,7 @@ def _from_infinity(space, x):
 
 
 def _manin_row(space, g):
-    return list(space.classical.project[space.cosets.coset_of(g)[0]])
+    return list(space.classical.project[space.cosets.coset_of(g)])
 
 
 def boundary_matrix(space):

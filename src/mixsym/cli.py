@@ -359,8 +359,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidSpecError, ValueError, argparse.ArgumentTypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (InvalidSpecError, ValueError, argparse.ArgumentTypeError,
+            OverflowError, MemoryError) as e:
+        # a MemoryError usually has no message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

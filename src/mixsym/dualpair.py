@@ -78,7 +78,7 @@ def pairing_matrix(space):
     n = space.n_manin
     manin = space.quotient.project[:n]
     left = manin + [space.cusp_gen(c) for c in space.cusps.cusp_of]
-    right = [manin[space.cosets.act(i, "T")[0]] for i in range(n)]
+    right = [manin[space.cosets.act(i, "T")] for i in range(n)]
     right += [[-4 * x for x in row] for row in manin]
     k = mat_mul(mat_transpose(left), right)
     six = [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]
@@ -227,12 +227,12 @@ def lambda_from_dual(space, phi):
 
 def _tau_action(space, i):
     """Index of the coset of rep_i * tau, with tau = S * T."""
-    return space.cosets.act(space.cosets.act(i, "S")[0], "T")[0]
+    return space.cosets.act(space.cosets.act(i, "S"), "T")
 
 
 def _check_cycle_conditions(space, lam):
     for i in range(space.n_manin):
-        j = space.cosets.act(i, "S")[0]
+        j = space.cosets.act(i, "S")
         if lam[i] + lam[j] != 0:
             raise InvalidInputError("cycle condition lambda_g + lambda_gS = 0 fails")
         t1 = _tau_action(space, i)

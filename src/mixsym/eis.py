@@ -399,6 +399,11 @@ def logdet_identity(pn, tol=DEFAULT_TOL):
     the group determinant over characters; the right sides are products of
     normalized L-values evaluated through the digamma series route, so the
     two sides share no code path.
+
+    ``rel_error`` is bounded below by the rounding of the right side, not
+    by ``_det``: the product of L-values keeps an imaginary residue of
+    1.3e-14 relative at p^n = 25 and 9.3e-13 at 169, about the reported
+    ``rel_error`` there.
     """
     p, _ = _odd_prime_power(pn)
     mprime, msec = log_cyclotomic_matrices(pn)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import sl2
-from .sl2 import (GroupSpec, MAT_ID, MAT_S, det, gcdex, minv, mmul, mneg,
-                  mpow_t, stword_decompose)
+from .sl2 import (GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul,
+                  mneg, mpow_t, stword_decompose)
 from .zlattice import (QuotientLattice, identity_matrix, kernel_basis, mat_mul,
                        quotient_by_rows, smith_invariants, sublattice_index,
                        vec_mat)
@@ -93,12 +93,12 @@ def _assemble_relations(cosets, cusps):
     for i in range(n_manin):
         row = [0] * n
         row[i] += 1
-        row[cosets.act(i, "S")[0]] += 1
+        row[cosets.act(i, "S")] += 1
         rows.append(row)
     for i in range(n_manin):
         row = [0] * n
-        j = cosets.act(i, "U")[0]
-        k = cosets.act(j, "U")[0]
+        j = cosets.act(i, "U")
+        k = cosets.act(j, "U")
         for m in (i, j, k):
             row[m] += 1
             row[n_manin + cusps.cusp_of[m]] -= 1
@@ -136,7 +136,7 @@ def build_space(spec):
     boundary_ambient = []
     for i in range(n_manin):
         row = [0] * n_cusp
-        row[cusps.cusp_of[cosets.act(i, "S")[0]]] += 1
+        row[cusps.cusp_of[cosets.act(i, "S")]] += 1
         row[cusps.cusp_of[i]] -= 1
         boundary_ambient.append(row)
     boundary_ambient += [[0] * n_cusp for _ in range(n_cusp)]
@@ -147,34 +147,27 @@ def build_space(spec):
 
 
 def _reduce_to_ambient(space, g, gprime):
-    """Telescoped coordinates of {g, g'} on the ambient generators, and g's coset.
-
-    The coset index is the one looked up for the first letter of the word,
-    or None when the word is empty.
-    """
+    """Telescoped coordinates of {g, g'} on the ambient generators."""
     n = space.n_manin + space.n_cusp
     amb = [0] * n
     word, _ = stword_decompose(mmul(minv(g), gprime))
     prefix = g
-    first = None
     for tok in word:
-        i = space.cosets.coset_of(prefix)[0]
-        if first is None:
-            first = i
+        i = space.cosets.coset_of(prefix)
         if tok[0] == "T":
             amb[space.n_manin + space.cusps.cusp_of[i]] += tok[1]
             prefix = mmul(prefix, mpow_t(tok[1]))
         else:
             amb[i] += 1
             prefix = mmul(prefix, MAT_S)
-    return amb, first
+    return amb
 
 
 def reduce_pair(space, g, gprime):
     """Basis coordinates of the symbol {g, g'} for unimodular g, g'."""
     if det(g) != 1 or det(gprime) != 1:
         raise InvalidInputError("arguments must be unimodular")
-    return vec_mat(_reduce_to_ambient(space, g, gprime)[0], space.quotient.project)
+    return vec_mat(_reduce_to_ambient(space, g, gprime), space.quotient.project)
 
 
 def _primitive_integral(m):
@@ -230,21 +223,18 @@ def reduce_pair_scaled(space, m, mprime, s):
       s * {m, m'} = s * {alpha, alpha'} - (s*b/d) * cusp(alpha)
                     + (s*b'/d') * cusp(alpha'),
 
-    where cusp(alpha) is the cusp generator at alpha's coset; alpha's coset
-    is the one the reduction looked up first, unless its word is empty.
+    where cusp(alpha) is the cusp generator at alpha's coset.
     Raises InvalidInputError unless s is a multiple of both d and d'.
     """
     alpha, b, d = _split_rational(m)
     alpha2, b2, d2 = _split_rational(mprime)
     if s % d or s % d2:
         raise InvalidInputError(f"scale {s} is not a multiple of {d} and {d2}")
-    amb, first = _reduce_to_ambient(space, alpha, alpha2)
+    amb = _reduce_to_ambient(space, alpha, alpha2)
     out = [s * x for x in vec_mat(amb, space.quotient.project)]
-    for beta, i, num in ((alpha, first, -s * b // d), (alpha2, None, s * b2 // d2)):
+    for beta, num in ((alpha, -s * b // d), (alpha2, s * b2 // d2)):
         if num:
-            if i is None:
-                i = space.cosets.coset_of(beta)[0]
-            cg = space.cusp_gen(space.cusps.cusp_of[i])
+            cg = space.cusp_gen(space.cusps.cusp_of[space.cosets.coset_of(beta)])
             out = [x + num * y for x, y in zip(out, cg)]
     return out
 
@@ -292,7 +282,7 @@ def expected_manin_index(space):
     """
     if space.rank == 0:
         return 1
-    has_u_fixed = any(space.cosets.act(i, "U")[0] == i
+    has_u_fixed = any(space.cosets.act(i, "U") == i
                       for i in range(space.n_manin))
     width_sum = sum(space.cusps.widths)
     return 1 if has_u_fixed or width_sum % 3 != 0 else 3
@@ -301,14 +291,16 @@ def expected_manin_index(space):
 def homology_sublattice(space):
     """Generators of the embedded open-curve homology lattice.
 
-    Schreier generators of Gamma over the coset action on {S, T} are fed
-    through reduce_pair(1, gamma); the honest image lattice is returned
-    without saturation.
+    The Schreier generators reps[i] * gen * reps[j]^-1 of Gamma, for gen in
+    {S, T} and j the coset of reps[i] * gen, are fed through
+    reduce_pair(1, gamma); the honest image lattice is returned without
+    saturation.
     """
+    reps = space.cosets.reps
     rows = []
     for i in range(space.n_manin):
-        for name in ("S", "T"):
-            gamma = space.cosets.act(i, name)[1]
+        for name, gen in (("S", MAT_S), ("T", MAT_T)):
+            gamma = mmul(reps[i], gen, minv(reps[space.cosets.act(i, name)]))
             row = reduce_pair(space, MAT_ID, gamma)
             if any(row):
                 rows.append(row)

@@ -140,40 +140,29 @@ class CosetTable:
 
     ``index_of[(c % N) * N + d % N]`` is the index of the coset of the
     matrices with bottom row (c, d), and None when (c, d) is not primitive
-    mod N.  ``action[name][i]`` is ``act(i, name)`` for the generators
-    ``name`` in ("S", "T", "U"), the only ones the package multiplies by.
+    mod N.  ``action[name][i]`` is ``act(i, name)``, the index of the coset
+    of reps[i] * generator, for the generators ``name`` in ("S", "T", "U"),
+    the only ones the package multiplies by.
     """
 
     spec: GroupSpec
     reps: list
     index_of: list
-    action: dict = field(default_factory=dict)  # name -> list of (idx', gamma, sign)
+    action: dict = field(default_factory=dict)  # name -> list of coset indices
 
     @property
     def index(self):
         return len(self.reps)
 
     def coset_of(self, g):
-        """Return (i, gamma, sign) with sign*g == gamma * reps[i], gamma in Gamma."""
+        """The index i with g in +-Gamma * reps[i]."""
         if det(g) != 1:
             raise InvalidSpecError("matrix must have determinant 1")
         n = self.spec.level
-        i = self.index_of[g[2] % n * n + g[3] % n]
-        gamma = mmul(g, minv(self.reps[i]))
-        sign = 1
-        if self.spec.family == "gamma1" and self.spec.level > 2:
-            # exactly one of +-gamma has diagonal congruent to (1, 1)
-            if gamma[0] % self.spec.level != 1:
-                gamma, sign = mneg(gamma), -1
-        else:
-            a, b = gamma[0], gamma[1]
-            if a < 0 or (a == 0 and b < 0):
-                gamma, sign = mneg(gamma), -1
-        assert self.spec.contains(gamma)
-        return i, gamma, sign
+        return self.index_of[g[2] % n * n + g[3] % n]
 
     def act(self, i, name):
-        """(idx', gamma, sign) with reps[i] * generator = sign * gamma * reps[idx']."""
+        """The index of the coset of reps[i] * generator."""
         return self.action[name][i]
 
 
@@ -202,7 +191,10 @@ def enumerate_cosets(spec):
                 reps.append(_lift_bottom_row(n, c, d))
     table = CosetTable(spec, reps, index_of)
     for name, m in _GENERATOR_MATS.items():
-        table.action[name] = [table.coset_of(mmul(rep, m)) for rep in reps]
+        moved = [mmul(rep, m) for rep in reps]
+        table.action[name] = [table.coset_of(g) for g in moved]
+        assert all(spec.contains(mmul(g, minv(reps[j])))
+                   for g, j in zip(moved, table.action[name]))
     return table
 
 
@@ -287,7 +279,7 @@ def cusp_table(table):
         while not seen[i]:
             seen[i] = True
             orbit.append(i)
-            i = table.act(i, "T")[0]
+            i = table.act(i, "T")
         assert i == start
         pts = [_cusp_point(table.reps[j]) for j in orbit]
         best = None
@@ -310,8 +302,8 @@ def cusp_table(table):
 def genus(table, cusps):
     """Genus of the modular curve for Gamma, from the coset table."""
     mu = table.index
-    e2 = sum(1 for i in range(mu) if table.act(i, "S")[0] == i)
-    e3 = sum(1 for i in range(mu) if table.act(i, "U")[0] == i)
+    e2 = sum(1 for i in range(mu) if table.act(i, "S") == i)
+    e3 = sum(1 for i in range(mu) if table.act(i, "U") == i)
     twelve_g = 12 + mu - 3 * e2 - 4 * e3 - 6 * cusps.count
     assert twelve_g % 12 == 0, "inconsistent coset table"
     return twelve_g // 12

@@ -76,11 +76,11 @@ def reduce_pair_rational_fractions(space, m, mprime):
     alpha2, (_, b2, d2) = _factor_upper(_primitive_integral(mprime))
     out = [Fraction(x) for x in reduce_pair(space, alpha, alpha2)]
     if b:
-        i = space.cosets.coset_of(alpha)[0]
+        i = space.cosets.coset_of(alpha)
         cg = space.cusp_gen(space.cusps.cusp_of[i])
         out = [x - Fraction(b, d) * y for x, y in zip(out, cg)]
     if b2:
-        i = space.cosets.coset_of(alpha2)[0]
+        i = space.cosets.coset_of(alpha2)
         cg = space.cusp_gen(space.cusps.cusp_of[i])
         out = [x + Fraction(b2, d2) * y for x, y in zip(out, cg)]
     return out

@@ -212,6 +212,26 @@ class TestExitCodes:
         code, err = _exit(["import", str(path)])
         assert code == 2 and err.startswith("error:")
 
+    # Gamma1 only: a Gamma0 level walks all its residues before any table
+    HUGE_LEVEL = "100000000000"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "rank", "--family", "gamma1", "--levels", HUGE_LEVEL],
+        ["export", "--family", "gamma1", "--level", HUGE_LEVEL],
+    ], ids=["verify", "export"])
+    def test_huge_level_is_a_usage_error(self, argv):
+        code, err = _exit(argv)
+        assert code == 2 and err.startswith("error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_import_huge_level(self, tmp_path):
+        path, doc = self._exported(tmp_path)
+        doc["family"], doc["level"] = "gamma1", self.HUGE_LEVEL
+        path.write_text(json.dumps(doc))
+        code, err = _exit(["import", str(path)])
+        assert code == 2 and err.startswith("error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_import_mismatch(self, tmp_path):
         path, doc = self._exported(tmp_path)
         doc["lift"][0][0] = str(int(doc["lift"][0][0]) + 1)

@@ -1,5 +1,7 @@
 """The mixed-symbol lattice: presentation, reduction, and structural maps."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,8 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 from mixsym.mms import (InvalidInputError, boundary, build_space,
                         cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
-                        kernel_pi_invariants, manin_index, pi_classical,
-                        reduce_pair, reduce_pair_rational, reduce_pair_scaled,
+                        homology_sublattice, kernel_pi_invariants,
+                        manin_index, pi_classical, reduce_pair,
+                        reduce_pair_rational, reduce_pair_scaled,
                         space_from_dict, space_to_dict)
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul, mpow_t
 from mixsym.zlattice import quotient_by_rows
@@ -51,12 +54,12 @@ def _classical_relations(cosets):
     for i in range(n):
         row = [0] * n
         row[i] += 1
-        row[cosets.act(i, "S")[0]] += 1
+        row[cosets.act(i, "S")] += 1
         rows.append(row)
     for i in range(n):
         row = [0] * n
-        j = cosets.act(i, "U")[0]
-        k = cosets.act(j, "U")[0]
+        j = cosets.act(i, "U")
+        k = cosets.act(j, "U")
         for m in (i, j, k):
             row[m] += 1
         rows.append(row)
@@ -236,6 +239,11 @@ MANIN_TABLE = {("gamma0", 5): 3, ("gamma0", 7): 1, ("gamma0", 11): 3,
                ("gamma1", 5): 3, ("gamma1", 7): 3, ("full", 1): 1}
 
 
+# SHA-256 of the homology_sublattice rows over the levels of
+# test_homology_rows_pinned, recorded from a known-good build
+HOMOLOGY_ROWS_DIGEST = "61a18a9f1715cae47f26fca2b4f09ed526dffd7cca7d8000496f0803b7ba9fdf"
+
+
 class TestIndices:
     @pytest.mark.parametrize("family,level", sorted(MANIN_TABLE))
     def test_manin_index(self, family, level):
@@ -252,6 +260,15 @@ class TestIndices:
     def test_homology_index_prime_value(self):
         for p in (5, 7, 11, 13):
             assert homology_index_in_kernel(_space("gamma0", p)) == p
+
+    def test_homology_rows_pinned(self):
+        """The Schreier-generator rows themselves, not only their index."""
+        h = hashlib.sha256()
+        for fam, lvl in (("gamma0", 36), ("gamma0", 60), ("gamma0", 101),
+                         ("gamma1", 13), ("gamma1", 15)):
+            rows = homology_sublattice(_space(fam, lvl))
+            h.update(json.dumps([fam, lvl, rows]).encode())
+        assert h.hexdigest() == HOMOLOGY_ROWS_DIGEST
 
 
 class TestSerialization:

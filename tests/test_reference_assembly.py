@@ -204,7 +204,7 @@ def pairing_reference(space):
 
 
 def _tau(space, i):
-    return space.cosets.coset_of(mmul(space.cosets.reps[i], MAT_TAU))[0]
+    return space.cosets.coset_of(mmul(space.cosets.reps[i], MAT_TAU))
 
 
 def lambda_reference(space, phi):

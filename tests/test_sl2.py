@@ -8,7 +8,8 @@ import pytest
 
 from mixsym.sl2 import (GroupSpec, InvalidSpecError, MAT_ID, MAT_S, MAT_T,
                         MAT_TAU, MAT_U, cusp_table, det, enumerate_cosets,
-                        genus, gcdex, minus_id_in_group, minv, mmul, mneg,
+                        gamma0_with_lower_right, genus, gcdex,
+                        minus_id_in_group, minv, mmul, mneg,
                         stword_decompose, word_to_matrix)
 
 
@@ -88,24 +89,29 @@ class TestCosets:
         assert table.index == INDEX_TABLE[(family, level)]
 
     def test_coset_of_consistency(self):
+        """g * reps[coset_of(g)]^-1 lies in Gamma, for random g and for
+        gamma * reps[k] with gamma in Gamma reaching every bottom row."""
         rng = random.Random(12)
-        for spec in (GroupSpec("gamma0", 11), GroupSpec("gamma1", 7)):
-            table = enumerate_cosets(spec)
+        for family, level in WITNESS_LEVELS:
+            spec = GroupSpec(family, level)
+            table = _table(family, level)
+            units = (1, level - 1) if family == "gamma1" else _reference_units(level)
             for _ in range(50):
                 g = random_unimodular(rng)
-                i, gamma, sign = table.coset_of(g)
-                assert spec.contains(gamma)
-                lhs = mneg(g) if sign == -1 else g
-                assert lhs == mmul(gamma, table.reps[i])
+                assert spec.contains(mmul(g, minv(table.reps[table.coset_of(g)])))
+            for u in units:
+                gamma = gamma0_with_lower_right(level, u)
+                for k, rep in enumerate(table.reps):
+                    assert table.coset_of(mmul(gamma, rep)) == k
 
     def test_action_witnesses(self):
-        table = enumerate_cosets(GroupSpec("gamma0", 13))
-        for name, gen in (("S", MAT_S), ("T", MAT_T), ("U", MAT_U)):
-            for i, rep in enumerate(table.reps):
-                j, gamma, sign = table.act(i, name)
-                prod = mmul(rep, gen)
-                lhs = mneg(prod) if sign == -1 else prod
-                assert lhs == mmul(gamma, table.reps[j])
+        for family, level in WITNESS_LEVELS:
+            spec = GroupSpec(family, level)
+            table = _table(family, level)
+            for name, gen in (("S", MAT_S), ("T", MAT_T), ("U", MAT_U)):
+                for i, rep in enumerate(table.reps):
+                    j = table.act(i, name)
+                    assert spec.contains(mmul(rep, gen, minv(table.reps[j])))
 
 
 @lru_cache(maxsize=None)
@@ -128,6 +134,9 @@ def _reference_coset_key(spec, c, d):
         return min(((u * c) % n, (u * d) % n) for u in _reference_units(n))
     return min((c, d), ((-c) % n, (-d) % n))
 
+
+WITNESS_LEVELS = ([("gamma0", n) for n in range(1, 61)]
+                  + [("gamma1", n) for n in range(1, 21)])
 
 TABLE_LEVELS = ([("gamma0", n) for n in list(range(1, 61)) + [100, 101, 121, 128]]
                 + [("gamma1", n) for n in range(1, 31)])
@@ -158,7 +167,7 @@ class TestCosetTable:
         rng = random.Random(level)
         for _ in range(200):
             g = random_unimodular(rng)
-            assert table.coset_of(g)[0] == bottom[_reference_coset_key(spec, g[2], g[3])]
+            assert table.coset_of(g) == bottom[_reference_coset_key(spec, g[2], g[3])]
 
     @pytest.mark.parametrize("family,level", TABLE_LEVELS)
     def test_labels_exactly_the_primitive_pairs(self, family, level):
