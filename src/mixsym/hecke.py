@@ -4,18 +4,26 @@ Operators are exact matrices over the space's basis, acting on row vectors
 by right multiplication.  Each is assembled on the free generators: row j is
 the image of basis vector j, which ``lift`` writes as an integer combination
 of ambient generators, so only the generators occurring in ``lift`` are
-evaluated.  For a prime q not dividing 2N the Hecke operator is an int
-matrix, assembled from the coset decomposition of
-SL2(Z)*diag(1,q)*SL2(Z): writing g_i*g = t_i(g)*g_{sigma(i)} with t_i(g)
-unimodular,
+evaluated.  For a prime q the Hecke operator is one double-coset sum over
+the right cosets of Gamma in Gamma*diag(1,q)*Gamma (Diamond-Shurman, A
+First Course in Modular Forms, Prop. 5.2.1):
 
-  T_q {g,g'} = <q>{t_oo(g), t_oo(g')} + sum over i of {t_i(g), t_i(g')},
+  T_q {g,g'} = sum over m of {m*g, m*g'},
 
-where i runs over -(q-1)/2 .. (q-1)/2, g_i = ((1,i),(0,q)) and
-g_oo = ((q,0),(0,1)).  For q dividing 2N the same double-coset expansion is
-evaluated through rational symbols, whose denominators divide q: each
-image is summed in ints as q times its coordinates (``reduce_pair_scaled``).
-W_N is assembled the same way with N in place of q.
+over q + 1 representatives m (q of them for U_q, where q divides N):
+
+  m = ((1,i),(0,q)), i in -(q-1)/2 .. (q-1)/2 for odd q not dividing N
+                     and in 0 .. q-1 otherwise;
+  m = gamma*diag(q,1) when q does not divide N, gamma in Gamma0(N) with
+      lower-right entry q mod N (the identity on Gamma0).
+
+The last representative carries the diamond twist <q>, so no <q> matrix
+is built.  For odd q not dividing N each m*g splits as t*((1,j),(0,q)) or
+t*diag(q,1) with t unimodular, so the image is the integral symbol
+{t, t'} and T_q is an int matrix.  Otherwise each image is evaluated
+through rational symbols, whose denominators divide q: it is summed in
+ints as q times its coordinates (``reduce_pair_scaled``).  W_N is
+evaluated the same way, with w = ((0,-1),(N,0)) and N in place of q.
 
 Every operator is stored as an int matrix ``num`` over one positive int
 ``den`` (q for T_2 and U_q, N for W_N, 1 otherwise).  Products and checks
@@ -27,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .sl2 import MAT_S, MAT_T, conj_entries, gamma0_with_lower_right, gcdex, mmul
+from .sl2 import (MAT_ID, MAT_S, MAT_T, conj_entries, gamma0_with_lower_right,
+                  gcdex, mmul)
 from .mms import InvalidInputError, reduce_pair, reduce_pair_scaled
-from .zlattice import factor, identity_matrix, mat_mul, vec_mat
+from .zlattice import factor, identity_matrix, mat_mul
 
 
 @dataclass
@@ -128,23 +137,30 @@ def diamond(space, d):
         f"diamond({d})")
 
 
-def _coset_matrices(q):
-    lower = [(1, i, 0, q) for i in range(-(q - 1) // 2, (q - 1) // 2 + 1)]
-    return lower, (q, 0, 0, 1)
+def _coset_reps(space, q):
+    """The right coset representatives m of T_q or U_q, q prime (module docstring)."""
+    n = space.spec.level
+    low = -(q - 1) // 2 if q % 2 and n % q else 0
+    reps = [(1, i, 0, q) for i in range(low, low + q)]
+    if n % q == 0:
+        return reps
+    gamma = gamma0_with_lower_right(n, q) if space.spec.family == "gamma1" else MAT_ID
+    return reps + [mmul(gamma, (q, 0, 0, 1))]
 
 
 def _translate(h, q):
-    """Split an integer matrix h of determinant q as t * g_j.
+    """The unimodular t with h = t * g, g one of the coset matrices of odd q.
 
-    Returns (t, j) with t unimodular and g_j one of the standard coset
-    matrices; j is None for g_oo = diag(q, 1).
+    h is an integer matrix of determinant q; g is diag(q, 1) or ((1,j),(0,q))
+    with j in -(q-1)/2 .. (q-1)/2.  The split is left-equivariant: gamma * h
+    gives gamma * t for gamma in SL2(Z).
     """
     h11, h12, h21, h22 = h
     if h11 % q == 0 and h21 % q == 0:
-        return (h11 // q, h12, h21 // q, h22), None
+        return (h11 // q, h12, h21 // q, h22)
     for j in range(-(q - 1) // 2, (q - 1) // 2 + 1):
         if (h12 - h11 * j) % q == 0 and (h22 - h21 * j) % q == 0:
-            return (h11, (h12 - h11 * j) // q, h21, (h22 - h21 * j) // q), j
+            return (h11, (h12 - h11 * j) // q, h21, (h22 - h21 * j) // q)
     raise AssertionError("no coset translate found; determinant not prime?")
 
 
@@ -154,57 +170,24 @@ def hecke_operator(space, q):
     name = f"U{q}" if n % q == 0 else f"T{q}"
     if space.rank == 0:
         return OperatorMatrix(name, [])
-    if q % 2 == 1 and (2 * n) % q != 0:
-        return _hecke_integral(space, q, name)
-    return _hecke_rational(space, q, name)
-
-
-def _hecke_integral(space, q, name):
-    dia = diamond(space, q)
-    lower, upper = _coset_matrices(q)
-
-    def image(gi, g, gp):
-        t, _ = _translate(mmul(gi, g), q)
-        tp, _ = _translate(mmul(gi, gp), q)
-        return reduce_pair(space, t, tp)
-
-    def fn(g, gp):
-        total = vec_mat(image(upper, g, gp), dia.num)
-        for gi in lower:
-            total = [x + y for x, y in zip(total, image(gi, g, gp))]
-        return total
-
-    return operator_from_pair_map(space, fn, name)
-
-
-def _hecke_rational(space, q, name):
-    n = space.spec.level
-    if n % q == 0:
-        mats = [((1, i, 0, q), False) for i in range(q)]
+    reps = _coset_reps(space, q)
+    if q % 2 and n % q:
+        def image(h, hp):
+            return reduce_pair(space, _translate(h, q), _translate(hp, q))
+        den = 1
     else:
-        lower, upper = _coset_matrices(q) if q % 2 else (
-            [(1, 0, 0, 2), (1, 1, 0, 2)], (2, 0, 0, 1))
-        mats = [(m, False) for m in lower] + [(upper, True)]
-    dia = diamond(space, q) if n % q else None
+        # every m * g is primitive of determinant q, so q clears its denominator
+        def image(h, hp):
+            return reduce_pair_scaled(space, h, hp, q)
+        den = q
 
-    # every m * g below is primitive of determinant q, so q clears its denominator
     def fn(g, gp):
         total = [0] * space.rank
-        for m, twist in mats:
-            v = reduce_pair_scaled(space, mmul(m, g), mmul(m, gp), q)
-            if twist:
-                v = vec_mat(v, dia.num)
-            total = [x + y for x, y in zip(total, v)]
+        for m in reps:
+            total = [x + y for x, y in zip(total, image(mmul(m, g), mmul(m, gp)))]
         return total
 
-    return operator_from_pair_map(space, fn, name, q)
-
-
-def hecke_rational_route(space, q):
-    """T_q evaluated through rational symbols; a cross-check for q not dividing 2N."""
-    if space.rank == 0:
-        return OperatorMatrix(f"T{q}", [])
-    return _hecke_rational(space, q, f"T{q}")
+    return operator_from_pair_map(space, fn, name, den)
 
 
 def atkin_lehner(space):

@@ -7,8 +7,7 @@ from math import gcd
 
 import mpmath
 
-from mixsym.hecke import (_coset_matrices, diamond, generator_pairs,
-                          hecke_operator)
+from mixsym.hecke import diamond, generator_pairs, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
 from mixsym.sl2 import mmul
@@ -99,22 +98,23 @@ def _fraction_operator(space, fn):
 
 
 def hecke_rational_fractions(space, q):
-    """T_q or U_q by the double-coset expansion, each image summed in Fractions."""
+    """T_q or U_q by the double-coset expansion, each image summed in Fractions.
+
+    The representatives are ((1,i),(0,q)) for i in 0 .. q-1 and, when q does
+    not divide the level, diag(q,1), whose image is twisted by the <q> matrix.
+    """
     n = space.spec.level
-    if n % q == 0:
-        mats = [((1, i, 0, q), False) for i in range(q)]
-    else:
-        lower, upper = _coset_matrices(q) if q % 2 else (
-            [(1, 0, 0, 2), (1, 1, 0, 2)], (2, 0, 0, 1))
-        mats = [(m, False) for m in lower] + [(upper, True)]
-    dia = diamond(space, q) if n % q else None
+    mats = [((1, i, 0, q), False) for i in range(q)]
+    if n % q:
+        mats.append(((q, 0, 0, 1), True))
+        dia = diamond(space, q).mat
 
     def fn(g, gp):
         total = [Fraction(0)] * space.rank
         for m, twist in mats:
             v = reduce_pair_rational_fractions(space, mmul(m, g), mmul(m, gp))
             if twist:
-                v = vec_mat(v, dia.mat)
+                v = vec_mat(v, dia)
             total = [x + y for x, y in zip(total, v)]
         return total
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from mixsym import classical, hecke
-from mixsym.mms import InvalidInputError, build_space
+from mixsym.mms import InvalidInputError, build_space, kernel_of_boundary
 from mixsym.sl2 import GroupSpec
-from mixsym.zlattice import kernel_basis, mat_mul, solve_rational, vec_mat
+from mixsym.zlattice import (kernel_basis, mat_mul, smith_invariants, solve_rational,
+                             vec_mat)
 
-from _reference import charpoly
+from _reference import charpoly, hecke_rational_fractions
 
 
 def _space(family, level, _cache={}):
@@ -44,12 +45,37 @@ class TestIntegrality:
             assert lvl % op.denominator == 0
 
     def test_integral_route_matches_rational_route(self):
-        sp = _space("gamma0", 11)
-        for q in (3, 5):
-            a = hecke.hecke_operator(sp, q)
-            b = hecke.hecke_rational_route(sp, q)
-            assert a.is_integral()
-            assert a == b
+        """T_q for odd q prime to 2N equals the Fraction route twisted by <q>.
+
+        The reference sums diag(q,1)'s image times the diamond matrix; the
+        library sums gamma*diag(q,1)'s image, so on Gamma1 this checks that
+        representative by a second route.
+        """
+        for family, levels in (("gamma0", range(2, 41)), ("gamma1", range(2, 17))):
+            for level in levels:
+                sp = _space(family, level)
+                for q in (3, 5, 7):
+                    if level % q == 0:
+                        continue
+                    op = hecke.hecke_operator(sp, q)
+                    assert op.den == 1, (family, level, q)
+                    assert op.mat == hecke_rational_fractions(sp, q), (family, level, q)
+
+    def test_hecke_operator_builds_no_diamond(self, monkeypatch):
+        calls = []
+        real = hecke.diamond
+
+        def counted(space, d):
+            calls.append(d)
+            return real(space, d)
+
+        monkeypatch.setattr(hecke, "diamond", counted)
+        sp = _space("gamma1", 13)
+        for q in (2, 3, 5, 7, 11):
+            hecke.hecke_operator(sp, q)
+        assert calls == []
+        hecke.hecke_composite(sp, 4)  # the recurrence does use <2>
+        assert calls == [2]
 
 
 class TestAlgebra:
@@ -178,6 +204,43 @@ class TestAgainstClassicalRoute:
                 scale = 1 if p == q else q + 1
                 assert mat_mul(cs, op.mat) == \
                     [[scale * x for x in row] for row in cs]
+
+
+# Cremona's models [a1, a2, a3, a4, a6] of an optimal curve at each level
+CURVES = {"11a1": (11, (0, -1, 1, -10, -20)), "37a1": (37, (0, 0, 1, -1, 0)),
+          "43a1": (43, (0, 1, 1, 0, 0)), "53a1": (53, (1, -1, 1, 0, 0)),
+          "36a1": (36, (0, 0, 0, 0, 1)), "49a1": (49, (1, -1, 0, -2, -1))}
+PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _trace_of_frobenius(coeffs, p):
+    """a_p = p + 1 - #E(F_p), the affine points counted over all of F_p^2."""
+    a1, a2, a3, a4, a6 = coeffs
+    affine = sum(1 for x in range(p) for y in range(p)
+                 if (y * y + a1 * x * y + a3 * y
+                     - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0)
+    return p - affine
+
+
+class TestEichlerShimura:
+    @pytest.mark.parametrize("label", sorted(CURVES))
+    def test_point_counts_are_eigenvalues_on_kernel_of_boundary(self, label):
+        """a_p from counting points on E is an eigenvalue of T_p on ker(boundary).
+
+        The point counts come from outside the package; the operators are
+        the mixed ones, restricted to the cuspidal lattice.
+        """
+        level, coeffs = CURVES[label]
+        sp = _space("gamma0", level)
+        kernel = kernel_of_boundary(sp)
+        for p in (p for p in PRIMES_BELOW_50 if level % p):
+            ap = _trace_of_frobenius(coeffs, p)
+            assert ap * ap <= 4 * p, (label, p, ap)
+            op = hecke.hecke_operator(sp, p)
+            shifted = [[x - (ap * op.den if i == j else 0) for j, x in enumerate(row)]
+                       for i, row in enumerate(op.num)]
+            assert len(smith_invariants(mat_mul(kernel, shifted))) < len(kernel), \
+                (label, p, ap)
 
 
 class TestRankZero:
