@@ -137,6 +137,28 @@ class TestGMap:
         assert n == 2 * sp.genus + max(sp.n_cusp - 1, 0) + (0 if sp.rank else 0)
         assert n == len(dualpair.dual_cuspless_basis(sp))
 
+    @pytest.mark.parametrize("family,level,caught,pairs", [
+        ("gamma0", 11, 6, 6), ("gamma0", 36, 221, 276)])
+    def test_identity_rejects_perturbed_pairing(self, family, level, caught, pairs):
+        """Adding 1 at (i, j) and -1 at (j, i) keeps six_mat antisymmetric;
+        verify_G_identity must reject every such pairing but those where
+        coordinates i and j vanish on all cusp-vanishing functionals (C(11, 2)
+        = 55 pairs at Gamma0(36)), which the identity cannot see."""
+        sp = _space(family, level)
+        six = _pairing(family, level).six_mat
+        r = len(six)
+        raised = 0
+        for i in range(r):
+            for j in range(i + 1, r):
+                bad = [list(row) for row in six]
+                bad[i][j] += 1
+                bad[j][i] -= 1
+                try:
+                    dualpair.verify_G_identity(sp, dualpair.PairingMatrix(bad))
+                except InvalidInputError:
+                    raised += 1
+        assert (raised, r * (r - 1) // 2) == (caught, pairs)
+
     def test_lambda_round_trip(self):
         sp = _space("gamma0", 11)
         pm = _pairing("gamma0", 11)

@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mixsym import dualpair
 from mixsym.mms import (InvalidInputError, boundary, build_space,
                         cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
@@ -119,6 +120,47 @@ class TestReduce:
         sp = _space("gamma0", 5)
         with pytest.raises(InvalidInputError):
             reduce_pair(sp, (2, 0, 0, 1), MAT_ID)
+
+
+def _random_word_matrix(rng):
+    """A product of 8..24 random letters S, T, T^-1 (perfbench's letter rule)."""
+    m = MAT_ID
+    for _ in range(rng.randint(8, 24)):
+        a, b, c, d = m
+        letter = rng.randrange(3)
+        if letter == 0:
+            m = (b, -a, d, -c)
+        else:
+            k = 1 if letter == 1 else -1
+            m = (a, a * k + b, c, c * k + d)
+    return m
+
+
+# SHA-256 of the reductions in test_reductions_pinned, recorded from the
+# matrix-prefix walk before the bottom-row walk replaced it
+REDUCTIONS_DIGEST = "a64e44fc1b3381f44a94ea84c1955ec4b5a478acf01d6f42b98e40e5be8499fe"
+
+
+class TestReductionsPinned:
+    def test_reductions_pinned(self):
+        """reduce_pair, reduce_pair_scaled and the six-times G cycle, byte for byte."""
+        h = hashlib.sha256()
+        spaces = ([("full", 1)] + [("gamma0", n) for n in range(2, 61)]
+                  + [("gamma1", n) for n in range(2, 21)])
+        for fam, n in spaces:
+            sp = _space(fam, n)
+            rng = random.Random(7 * n + (fam == "gamma1"))
+            for _ in range(40):
+                g, gp = _random_word_matrix(rng), _random_word_matrix(rng)
+                h.update(repr(reduce_pair(sp, g, gp)).encode())
+                for q in (2, 3):
+                    r = rng.randrange(q)
+                    h.update(repr(reduce_pair_scaled(
+                        sp, mmul(g, (1, r, 0, q)), mmul(gp, (q, 0, 0, 1)), q)).encode())
+            for phi in dualpair.dual_cuspless_basis(sp):
+                lam = dualpair.lambda_from_dual(sp, phi)
+                h.update(repr(dualpair._six_times_cycle(sp, lam)).encode())
+        assert h.hexdigest() == REDUCTIONS_DIGEST
 
 
 class TestRationalReduce:
