@@ -225,18 +225,13 @@ def lambda_from_dual(space, phi):
     return lam
 
 
-def _tau_action(space, i):
-    """Index of the coset of rep_i * tau, with tau = S * T."""
-    return space.cosets.act(space.cosets.act(i, "S"), "T")
-
-
 def _check_cycle_conditions(space, lam):
+    s_act, t_act = space.cosets.action["S"], space.cosets.action["T"]
     for i in range(space.n_manin):
-        j = space.cosets.act(i, "S")
-        if lam[i] + lam[j] != 0:
+        if lam[i] + lam[s_act[i]] != 0:
             raise InvalidInputError("cycle condition lambda_g + lambda_gS = 0 fails")
-        t1 = _tau_action(space, i)
-        t2 = _tau_action(space, t1)
+        t1 = t_act[s_act[i]]  # the coset of rep_i * tau, tau = S * T
+        t2 = t_act[s_act[t1]]
         if lam[i] + lam[t1] + lam[t2] != 0:
             raise InvalidInputError(
                 "cycle condition lambda_g + lambda_gtau + lambda_gtau2 = 0 fails")
@@ -257,17 +252,22 @@ def _six_times_cycle(space, lam):
 
     With {gS,g} = -ManinGen(i) and {g,gT} = CuspGen(c(i)) the summand at
     coset i is lambda_{i tau} * (M_{i tau^2} - M_i) - 4 * lambda_i * C_c(i).
-    The caller has checked the cycle conditions on lam.
+    The coefficients are gathered on the ambient generators first, so each
+    ``project`` row is added once.  The caller has checked the cycle
+    conditions on lam.
     """
-    project = space.quotient.project
-    out = [0] * space.rank
-    for i in range(space.n_manin):
-        t1 = _tau_action(space, i)
-        t2 = _tau_action(space, t1)
-        cg = space.cusp_gen(space.cusps.cusp_of[i])
-        out = [x + lam[t1] * (b - a) - 4 * lam[i] * c
-               for x, a, b, c in zip(out, project[i], project[t2], cg)]
-    return out
+    s_act, t_act = space.cosets.action["S"], space.cosets.action["T"]
+    n_manin, cusp_of = space.n_manin, space.cusps.cusp_of
+    amb = [0] * (n_manin + space.n_cusp)
+    for i in range(n_manin):
+        t1 = t_act[s_act[i]]
+        x = lam[t1]
+        if x:
+            amb[i] -= x
+            amb[t_act[s_act[t1]]] += x
+        if lam[i]:
+            amb[n_manin + cusp_of[i]] -= 4 * lam[i]
+    return vec_mat(amb, space.quotient.project)
 
 
 def verify_G_identity(space, pairing=None):

@@ -21,7 +21,7 @@ from math import gcd
 
 from . import sl2
 from .sl2 import (GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul,
-                  mneg, mpow_t, stword_decompose)
+                  mneg, stword_decompose)
 from .zlattice import (QuotientLattice, identity_matrix, kernel_basis, mat_mul,
                        quotient_by_rows, smith_invariants, sublattice_index,
                        vec_mat)
@@ -147,27 +147,48 @@ def build_space(spec):
 
 
 def _reduce_to_ambient(space, g, gprime):
-    """Telescoped coordinates of {g, g'} on the ambient generators."""
-    n = space.n_manin + space.n_cusp
-    amb = [0] * n
+    """{g, g'} as {ambient generator index: coefficient}, zeros included.
+
+    Writing g^-1 * g' = +-T^(a_0) S T^(a_1) S ... telescopes {g, g'} into
+    one symbol per letter at the prefix h = g * (letters before it):
+    {h, h*T^k} is k times the cusp generator at h's coset and {h, h*S} is
+    the Manin generator of h's coset.  A coset depends only on the bottom
+    row (c, d) of h, so the walk tracks that row alone: T^k sends it to
+    (c, c*k + d) and S to (d, -c).
+    """
+    coset = space.cosets.coset_of_row
+    cusp_of = space.cusps.cusp_of
+    n_manin = space.n_manin
     word, _ = stword_decompose(mmul(minv(g), gprime))
-    prefix = g
+    c, d = g[2], g[3]
+    amb = {}
     for tok in word:
-        i = space.cosets.coset_of(prefix)
+        i = coset(c, d)
         if tok[0] == "T":
-            amb[space.n_manin + space.cusps.cusp_of[i]] += tok[1]
-            prefix = mmul(prefix, mpow_t(tok[1]))
+            k = n_manin + cusp_of[i]
+            amb[k] = amb.get(k, 0) + tok[1]
+            d += c * tok[1]
         else:
-            amb[i] += 1
-            prefix = mmul(prefix, MAT_S)
+            amb[i] = amb.get(i, 0) + 1
+            c, d = d, -c
     return amb
+
+
+def _combine(space, amb):
+    """Basis coordinates of sum of x * (ambient generator k) over amb.items()."""
+    project = space.quotient.project
+    out = [0] * space.rank
+    for k, x in amb.items():
+        if x:
+            out = [s + x * y for s, y in zip(out, project[k])]
+    return out
 
 
 def reduce_pair(space, g, gprime):
     """Basis coordinates of the symbol {g, g'} for unimodular g, g'."""
     if det(g) != 1 or det(gprime) != 1:
         raise InvalidInputError("arguments must be unimodular")
-    return vec_mat(_reduce_to_ambient(space, g, gprime), space.quotient.project)
+    return _combine(space, _reduce_to_ambient(space, g, gprime))
 
 
 def _primitive_integral(m):
@@ -230,13 +251,12 @@ def reduce_pair_scaled(space, m, mprime, s):
     alpha2, b2, d2 = _split_rational(mprime)
     if s % d or s % d2:
         raise InvalidInputError(f"scale {s} is not a multiple of {d} and {d2}")
-    amb = _reduce_to_ambient(space, alpha, alpha2)
-    out = [s * x for x in vec_mat(amb, space.quotient.project)]
+    amb = {k: s * x for k, x in _reduce_to_ambient(space, alpha, alpha2).items()}
     for beta, num in ((alpha, -s * b // d), (alpha2, s * b2 // d2)):
         if num:
-            cg = space.cusp_gen(space.cusps.cusp_of[space.cosets.coset_of(beta)])
-            out = [x + num * y for x, y in zip(out, cg)]
-    return out
+            k = space.n_manin + space.cusps.cusp_of[space.cosets.coset_of(beta)]
+            amb[k] = amb.get(k, 0) + num
+    return _combine(space, amb)
 
 
 def reduce_pair_rational(space, m, mprime):

@@ -154,12 +154,16 @@ class CosetTable:
     def index(self):
         return len(self.reps)
 
+    def coset_of_row(self, c, d):
+        """The index of the coset of the matrices with bottom row (c, d)."""
+        n = self.spec.level
+        return self.index_of[c % n * n + d % n]
+
     def coset_of(self, g):
         """The index i with g in +-Gamma * reps[i]."""
         if det(g) != 1:
             raise InvalidSpecError("matrix must have determinant 1")
-        n = self.spec.level
-        return self.index_of[g[2] % n * n + g[3] % n]
+        return self.coset_of_row(g[2], g[3])
 
     def act(self, i, name):
         """The index of the coset of reps[i] * generator."""

@@ -1,6 +1,7 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, the Fraction routes for the rational and composite
-Hecke operators, and the mpc loop for the digamma series."""
+polynomial and rank, the matrix-prefix walk for reduce_pair, the Fraction
+routes for the rational and composite Hecke operators, and the mpc loop for
+the digamma series."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,7 +11,7 @@ import mpmath
 from mixsym.hecke import diamond, generator_pairs, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
-from mixsym.sl2 import mmul
+from mixsym.sl2 import MAT_S, minv, mmul, mpow_t, stword_decompose
 from mixsym.zlattice import factor, hnf, identity_matrix, mat_mul, vec_mat
 
 
@@ -58,6 +59,26 @@ def det_rational(a):
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out
+
+
+def reduce_pair_matrix_walk(space, g, gprime):
+    """{g, g'} by multiplying out every prefix of the S/T word of g^-1 * g'.
+
+    The coset of each whole prefix matrix is read with ``coset_of``; the
+    ambient coordinates are then multiplied densely by ``project``.
+    """
+    amb = [0] * (space.n_manin + space.n_cusp)
+    word, _ = stword_decompose(mmul(minv(g), gprime))
+    prefix = g
+    for tok in word:
+        i = space.cosets.coset_of(prefix)
+        if tok[0] == "T":
+            amb[space.n_manin + space.cusps.cusp_of[i]] += tok[1]
+            prefix = mmul(prefix, mpow_t(tok[1]))
+        else:
+            amb[i] += 1
+            prefix = mmul(prefix, MAT_S)
+    return vec_mat(amb, space.quotient.project)
 
 
 def reduce_pair_rational_fractions(space, m, mprime):

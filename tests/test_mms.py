@@ -20,6 +20,8 @@ from mixsym.mms import (InvalidInputError, boundary, build_space,
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul, mpow_t
 from mixsym.zlattice import quotient_by_rows
 
+from _reference import reduce_pair_matrix_walk
+
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
               ("gamma0", 11): 4, ("gamma0", 13): 2, ("gamma0", 23): 6,
@@ -120,6 +122,28 @@ class TestReduce:
         sp = _space("gamma0", 5)
         with pytest.raises(InvalidInputError):
             reduce_pair(sp, (2, 0, 0, 1), MAT_ID)
+
+    @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 61)),
+                                               ("gamma1", range(2, 21))])
+    def test_matches_matrix_prefix_walk(self, family, levels):
+        """The bottom-row walk against the walk over whole prefix matrices,
+        on short words and on words with T-exponents up to 10 * N."""
+        for level in levels:
+            sp = _space(family, level)
+            rng = random.Random(level)
+
+            def big_word():
+                m = MAT_ID
+                for _ in range(rng.randint(2, 8)):
+                    k = rng.randint(-10 * level, 10 * level)
+                    m = mmul(m, MAT_S, (1, k, 0, 1))
+                return m
+
+            for words in (_random_word_matrix, lambda _: big_word()):
+                for _ in range(10):
+                    g, gp = words(rng), words(rng)
+                    assert reduce_pair(sp, g, gp) == \
+                        reduce_pair_matrix_walk(sp, g, gp), (level, g, gp)
 
 
 def _random_word_matrix(rng):
