@@ -81,6 +81,28 @@ class TestClassicalPresentation:
                 (ref.rank, ref.project, ref.lift, ref.torsion), level
 
 
+def _random_word_matrix(rng):
+    """A product of 8..24 random letters S, T, T^-1 (perfbench's letter rule)."""
+    m = MAT_ID
+    for _ in range(rng.randint(8, 24)):
+        a, b, c, d = m
+        letter = rng.randrange(3)
+        if letter == 0:
+            m = (b, -a, d, -c)
+        else:
+            k = 1 if letter == 1 else -1
+            m = (a, a * k + b, c, c * k + d)
+    return m
+
+
+def _long_t_word_matrix(rng, bound):
+    """A product of 2..8 factors S * T^k with |k| <= bound."""
+    m = MAT_ID
+    for _ in range(rng.randint(2, 8)):
+        m = mmul(m, MAT_S, mpow_t(rng.randint(-bound, bound)))
+    return m
+
+
 class TestReduce:
     def test_t_power_is_cusp_generator_multiple(self):
         sp = _space("gamma0", 5)
@@ -131,33 +153,12 @@ class TestReduce:
         for level in levels:
             sp = _space(family, level)
             rng = random.Random(level)
-
-            def big_word():
-                m = MAT_ID
-                for _ in range(rng.randint(2, 8)):
-                    k = rng.randint(-10 * level, 10 * level)
-                    m = mmul(m, MAT_S, (1, k, 0, 1))
-                return m
-
-            for words in (_random_word_matrix, lambda _: big_word()):
-                for _ in range(10):
-                    g, gp = words(rng), words(rng)
+            for _ in range(10):
+                for g, gp in ((_random_word_matrix(rng), _random_word_matrix(rng)),
+                              (_long_t_word_matrix(rng, 10 * level),
+                               _long_t_word_matrix(rng, 10 * level))):
                     assert reduce_pair(sp, g, gp) == \
                         reduce_pair_matrix_walk(sp, g, gp), (level, g, gp)
-
-
-def _random_word_matrix(rng):
-    """A product of 8..24 random letters S, T, T^-1 (perfbench's letter rule)."""
-    m = MAT_ID
-    for _ in range(rng.randint(8, 24)):
-        a, b, c, d = m
-        letter = rng.randrange(3)
-        if letter == 0:
-            m = (b, -a, d, -c)
-        else:
-            k = 1 if letter == 1 else -1
-            m = (a, a * k + b, c, c * k + d)
-    return m
 
 
 # SHA-256 of the reductions in test_reductions_pinned, recorded from the
