@@ -17,6 +17,11 @@ MAT_U = (1, -1, 1, 0)          # T * S, order 3 in PSL2
 MAT_TAU = (0, -1, 1, 1)        # S * T, order 3 in PSL2
 
 
+# The P^1(Z/N) table of enumerate_cosets has N^2 entries; past this many
+# (N > 10 000) a level is rejected before anything is allocated.
+MAX_COSET_TABLE = 10**8
+
+
 class InvalidSpecError(Exception):
     """Raised for congruence-group descriptions that make no sense."""
 
@@ -182,8 +187,12 @@ def enumerate_cosets(spec):
     orbit first at its label, so one pass numbers the cosets in label order
     and fills ``index_of`` on the whole orbit (the P^1(Z/N) table of
     Cremona, Algorithms for Modular Elliptic Curves, section 2.2).
+    Raises InvalidSpecError when N^2 exceeds ``MAX_COSET_TABLE``.
     """
     n = spec.level
+    if n * n > MAX_COSET_TABLE:
+        raise InvalidSpecError(f"level {n}: the coset table needs N^2 = {n * n} "
+                               f"entries, more than the limit of {MAX_COSET_TABLE}")
     units = (1, n - 1) if spec.family == "gamma1" else _units(n)
     index_of = [None] * (n * n)
     reps = []

@@ -120,60 +120,109 @@ class SmithDecomposition:
                 if self.d[i][i] != 0]
 
 
+def _add_multiple(dst, src, k):
+    """dst += k * src on sparse {index: value} vectors, for k != 0; zeros are dropped."""
+    for c, x in src.items():
+        y = dst.get(c, 0) + k * x
+        if y:
+            dst[c] = y
+        else:
+            del dst[c]
+
+
+def _dense(vecs, n, by_columns=False):
+    """The list-of-rows matrix whose rows (or, ``by_columns``, columns) are the
+    sparse vectors ``vecs`` of length ``n``."""
+    shape = (n, len(vecs)) if by_columns else (len(vecs), n)
+    out = [[0] * shape[1] for _ in range(shape[0])]
+    for i, vec in enumerate(vecs):
+        for j, x in vec.items():
+            if by_columns:
+                out[j][i] = x
+            else:
+                out[i][j] = x
+    return out
+
+
 def snf(a):
-    """Smith normal form with transforms; returns a SmithDecomposition."""
-    d = mat_copy(a)
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-    vinv = identity_matrix(cols)
+    """Smith normal form with transforms; returns a SmithDecomposition.
+
+    The pivot rule is the contract, and the pinned digests of the
+    transforms hold it: at step t the pivot of the trailing block is its
+    first unit in row-major order (the least unit column of the first row
+    that has one), and without a unit the least (|x|, i, j).  Row t and
+    column t are then cleared by floor-division steps, swapping in a
+    non-zero remainder; a non-unit pivot that does not divide some row of
+    the trailing block has that row added to row t, and step t starts over.
+
+    The elimination is sparse: ``d`` is held as {column: value} rows,
+    ``u`` and ``vinv`` by columns and ``v`` by rows, the sides that the row
+    and column operations touch.  Rows above t are finished (their only
+    entry is on the diagonal), so a column operation visits the rows from
+    t on, and a column add only those with an entry in column t.  All four
+    matrices are returned dense.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    d = [{j: x for j, x in enumerate(row) if x} for row in a]
+    u = [{i: 1} for i in range(rows)]  # columns of u
+    v = [{i: 1} for i in range(cols)]  # rows of v
+    vinv = [{i: 1} for i in range(cols)]  # columns of vinv
 
     # Row ops on d are compensated in u (a = u*d*v is preserved);
     # column ops on d are compensated in v and vinv.
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
+        u[i], u[j] = u[j], u[i]
 
     def row_add(i, j, k):
         # row j += k * row i
-        d[j] = [x + k * y for x, y in zip(d[j], d[i])]
-        for row in u:
-            row[i] -= k * row[j]
+        _add_multiple(d[j], d[i], k)
+        _add_multiple(u[i], u[j], -k)
 
-    def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
-        for row in vinv:
-            row[i], row[j] = row[j], row[i]
+    def col_swap(t, j):
+        # swap columns t < j; returns the rows that then have an entry in column t
+        rows_t = []
+        for i in range(t, rows):
+            row = d[i]
+            if t in row or j in row:
+                x, y = row.pop(t, 0), row.pop(j, 0)
+                if y:
+                    row[t] = y
+                    rows_t.append(i)
+                if x:
+                    row[j] = x
+        v[t], v[j] = v[j], v[t]
+        vinv[t], vinv[j] = vinv[j], vinv[t]
+        return rows_t
 
-    def col_add(i, j, k):
-        # col j += k * col i
-        for row in d:
-            row[j] += k * row[i]
-        v[i] = [x - k * y for x, y in zip(v[i], v[j])]
-        for row in vinv:
-            row[j] += k * row[i]
+    def col_add(t, j, k, rows_t):
+        # col j += k * col t; ``rows_t`` lists the rows with an entry in column t
+        for i in rows_t:
+            row = d[i]
+            y = row.get(j, 0) + k * row[t]
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+        _add_multiple(v[t], v[j], -k)
+        _add_multiple(vinv[j], vinv[t], k)
 
     def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        for row in u:
-            row[i] = -row[i]
+        d[i] = {j: -x for j, x in d[i].items()}
+        u[i] = {j: -x for j, x in u[i].items()}
 
     def find_pivot(t):
-        # first entry of least absolute value in the trailing block, in
-        # row-major order; a unit is that entry as soon as it is met
-        piv, best = None, 0
+        # the first unit in row-major order, else the least (|x|, i, j)
+        best = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(d[i][j])
-                if x and (piv is None or x < best):
-                    piv, best = (i, j), x
-                    if x == 1:
-                        return piv
-        return piv
+            if d[i]:
+                x, j = min((abs(x), j) for j, x in d[i].items())
+                if x == 1:
+                    return i, j
+                if best is None or x < best[0]:
+                    best = x, i, j
+        return best and best[1:]
 
     n = min(rows, cols)
     t = 0
@@ -184,36 +233,41 @@ def snf(a):
         if piv[0] != t:
             row_swap(t, piv[0])
         if piv[1] != t:
-            col_swap(t, piv[1])
-        # clear row and column t
+            rows_t = col_swap(t, piv[1])
+        else:
+            rows_t = [i for i in range(t, rows) if t in d[i]]
+        # clear row and column t; a zero quotient leaves the line as it is
         dirty = True
         while dirty:
             dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
+            below, rows_t = rows_t[1:], [t]
+            for i in below:
+                q = d[i][t] // d[t][t]
+                if q:
                     row_add(t, i, -q)
-                    if d[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    col_add(t, j, -q)
-                    if d[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
+                if t in d[i]:
+                    row_swap(t, i)
+                    rows_t.append(i)
+                    dirty = True
+            for j in sorted(j for j in d[t] if j > t):
+                q = d[t][j] // d[t][t]
+                if q:
+                    col_add(t, j, -q, rows_t)
+                if j in d[t]:
+                    rows_t = col_swap(t, j)
+                    dirty = True
         # enforce divisibility of the trailing block by the pivot (a unit divides all)
         p = d[t][t]
         bad = None if p in (1, -1) else next(
-            (i for i in range(t + 1, rows) if any(x % p for x in d[i][t + 1:])), None)
+            (i for i in range(t + 1, rows) if any(x % p for x in d[i].values())), None)
         if bad is not None:
             row_add(bad, t, 1)
             continue
         if p < 0:
             row_negate(t)
         t += 1
-    return SmithDecomposition(u=u, d=d, v=v, vinv=vinv)
+    return SmithDecomposition(u=_dense(u, rows, by_columns=True), d=_dense(d, cols),
+                              v=_dense(v, cols), vinv=_dense(vinv, cols, by_columns=True))
 
 
 def _hnf_rows(a):

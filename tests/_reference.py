@@ -1,7 +1,7 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, the matrix-prefix walk for reduce_pair, the Fraction
-routes for the rational and composite Hecke operators, and the mpc loop for
-the digamma series."""
+polynomial and rank, the dense Smith normal form, the matrix-prefix walk for
+reduce_pair, the Fraction routes for the rational and composite Hecke
+operators, and the mpc loop for the digamma series."""
 
 from fractions import Fraction
 from math import gcd
@@ -12,7 +12,8 @@ from mixsym.hecke import diamond, generator_pairs, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
 from mixsym.sl2 import MAT_S, minv, mmul, mpow_t, stword_decompose
-from mixsym.zlattice import factor, hnf, identity_matrix, mat_mul, vec_mat
+from mixsym.zlattice import (SmithDecomposition, factor, hnf, identity_matrix,
+                             mat_copy, mat_mul, vec_mat)
 
 
 def mat_rank(a):
@@ -59,6 +60,105 @@ def det_rational(a):
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out
+
+
+def snf_dense(a):
+    """``zlattice.snf`` as it was on dense lists: the oracle for the sparse one.
+
+    Same pivot rule, so the same (u, d, v, vinv) byte for byte.
+    """
+    d = mat_copy(a)
+    rows = len(d)
+    cols = len(d[0]) if rows else 0
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+    vinv = identity_matrix(cols)
+
+    # Row ops on d are compensated in u (a = u*d*v is preserved);
+    # column ops on d are compensated in v and vinv.
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        for row in u:
+            row[i], row[j] = row[j], row[i]
+
+    def row_add(i, j, k):
+        # row j += k * row i
+        d[j] = [x + k * y for x, y in zip(d[j], d[i])]
+        for row in u:
+            row[i] -= k * row[j]
+
+    def col_swap(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
+        for row in vinv:
+            row[i], row[j] = row[j], row[i]
+
+    def col_add(i, j, k):
+        # col j += k * col i
+        for row in d:
+            row[j] += k * row[i]
+        v[i] = [x - k * y for x, y in zip(v[i], v[j])]
+        for row in vinv:
+            row[j] += k * row[i]
+
+    def row_negate(i):
+        d[i] = [-x for x in d[i]]
+        for row in u:
+            row[i] = -row[i]
+
+    def find_pivot(t):
+        # first entry of least absolute value in the trailing block, in
+        # row-major order; a unit is that entry as soon as it is met
+        piv, best = None, 0
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(d[i][j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
+                    if x == 1:
+                        return piv
+        return piv
+
+    n = min(rows, cols)
+    t = 0
+    while t < n:
+        piv = find_pivot(t)
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        # clear row and column t
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    row_add(t, i, -q)
+                    if d[i][t] != 0:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    col_add(t, j, -q)
+                    if d[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+        # enforce divisibility of the trailing block by the pivot (a unit divides all)
+        p = d[t][t]
+        bad = None if p in (1, -1) else next(
+            (i for i in range(t + 1, rows) if any(x % p for x in d[i][t + 1:])), None)
+        if bad is not None:
+            row_add(bad, t, 1)
+            continue
+        if p < 0:
+            row_negate(t)
+        t += 1
+    return SmithDecomposition(u=u, d=d, v=v, vinv=vinv)
 
 
 def reduce_pair_matrix_walk(space, g, gprime):

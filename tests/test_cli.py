@@ -212,17 +212,38 @@ class TestExitCodes:
         code, err = _exit(["import", str(path)])
         assert code == 2 and err.startswith("error:")
 
-    # Gamma1 only: a Gamma0 level walks all its residues before any table
+    # the coset table's size is checked before its residues are walked, so
+    # a huge level fails at once for both families
     HUGE_LEVEL = "100000000000"
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--suite", "rank", "--family", "gamma1", "--levels", HUGE_LEVEL],
-        ["export", "--family", "gamma1", "--level", HUGE_LEVEL],
+        ["verify", "--suite", "rank", "--levels", HUGE_LEVEL],
+        ["export", "--level", HUGE_LEVEL],
     ], ids=["verify", "export"])
     def test_huge_level_is_a_usage_error(self, argv):
-        code, err = _exit(argv)
-        assert code == 2 and err.startswith("error:")
-        assert "Traceback" not in err and err.count("\n") == 1
+        for family in ("gamma0", "gamma1"):
+            code, err = _exit(argv + ["--family", family])
+            assert code == 2 and err.startswith("error:")
+            assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("family", ["gamma0", "gamma1"])
+    def test_level_past_the_coset_table_limit(self, family):
+        """N = 10^5 asks for 10^10 table entries: exit 2 before allocating.
+
+        The run is a subprocess limited to 1 GiB of address space, so a
+        regression fails here instead of exhausting the host's memory.
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mixsym.__file__)))
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from mixsym.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = ["verify", "--suite", "rank", "--family", family, "--levels", "100000"]
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "10000000000" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_import_huge_level(self, tmp_path):
         path, doc = self._exported(tmp_path)

@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from mixsym.sl2 import (GroupSpec, InvalidSpecError, MAT_ID, MAT_S, MAT_T,
-                        MAT_TAU, MAT_U, cusp_table, det, enumerate_cosets,
+from mixsym.sl2 import (MAX_COSET_TABLE, GroupSpec, InvalidSpecError, MAT_ID,
+                        MAT_S, MAT_T, MAT_TAU, MAT_U, cusp_table, det, enumerate_cosets,
                         gamma0_with_lower_right, genus, gcdex,
                         minus_id_in_group, minv, mmul, mneg,
                         stword_decompose, word_to_matrix)
@@ -87,6 +87,13 @@ class TestCosets:
     def test_index(self, family, level):
         table = enumerate_cosets(GroupSpec(family, level))
         assert table.index == INDEX_TABLE[(family, level)]
+
+    @pytest.mark.parametrize("family", ["gamma0", "gamma1"])
+    def test_table_past_the_limit_is_rejected(self, family):
+        level = 10_001
+        assert level * level > MAX_COSET_TABLE >= (level - 1) ** 2
+        with pytest.raises(InvalidSpecError, match=f"{level * level} entries"):
+            enumerate_cosets(GroupSpec(family, level))
 
     def test_coset_of_consistency(self):
         """g * reps[coset_of(g)]^-1 lies in Gamma, for random g and for

@@ -8,14 +8,15 @@ from math import gcd, inf
 
 import pytest
 
-from mixsym import sl2
-from mixsym.mms import _assemble_relations
+from mixsym import dualpair, sl2
+from mixsym.mms import _assemble_relations, build_space
 from mixsym.zlattice import (LatticeError, hnf, identity_matrix, kernel_basis,
                              lcm_list, mat_mul, mat_transpose, quotient_by_rows,
                              smith_invariants, snf, solve_rational,
                              sublattice_index, vec_mat)
 
-from _reference import charpoly, det_rational, mat_rank
+from _reference import charpoly, det_rational, mat_rank, snf_dense
+from test_dualpair import PERFECTNESS_LEVELS
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -114,6 +115,50 @@ class TestSNF:
             decs.append(snf(_assemble_relations(cosets, sl2.cusp_table(cosets))))
         assert _snf_digest(decs) == \
             "07683e54df9f672d1ecdb4d1e33c545e0507c15d4eab6ea66b1ac1f940a46824"
+
+
+    # The sparse elimination against the dense one it replaced: the same
+    # pivot sequence, so the same four matrices byte for byte.
+    def test_matches_dense_oracle_on_random_matrices(self):
+        rng = random.Random(15)
+        for k in range(2000):
+            # even k: a unit pool up to 7 x 7; odd k: no unit, up to 5 x 5,
+            # where 2 and 3 below a pivot of 3 or 6 give zero quotients (on
+            # larger unit-free matrices the pivot rule makes the entries of
+            # both eliminations explode)
+            if k % 2 == 0:
+                pool, size = [-3, -2, -1, 0, 1, 2, 3], 7
+            else:
+                pool, size = [0, 0, 2, -2, 3, -3, 4, 6, -6], 5
+            rows, cols = rng.randint(1, size), rng.randint(1, size)
+            a = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+            if k % 3 == 0:
+                a.insert(rng.randint(0, rows), [0] * cols)
+            if k % 5 == 0:
+                j = rng.randint(0, cols)
+                a = [row[:j] + [0] + row[j:] for row in a]
+            _assert_same_snf(a)
+
+    @pytest.mark.parametrize("family,levels", [
+        ("gamma0", list(range(1, 61)) + [101]), ("gamma1", range(2, 17))])
+    def test_matches_dense_oracle_on_relation_matrices(self, family, levels):
+        for level in levels:
+            cosets = sl2.enumerate_cosets(sl2.GroupSpec(family, level))
+            relations = _assemble_relations(cosets, sl2.cusp_table(cosets))
+            mu = cosets.index
+            _assert_same_snf(relations)
+            _assert_same_snf([row[:mu] for row in relations[:2 * mu]])
+
+    def test_matches_dense_oracle_on_gram_matrices(self):
+        # non-unit pivots and the divisibility fix-up run here
+        for family, level in PERFECTNESS_LEVELS:
+            space = build_space(sl2.GroupSpec(family, level))
+            _assert_same_snf(dualpair.pairing_matrix(space).six_mat)
+
+
+def _assert_same_snf(a):
+    got, want = snf(a), snf_dense(a)
+    assert (got.u, got.d, got.v, got.vinv) == (want.u, want.d, want.v, want.vinv), a
 
 
 def _snf_digest(decs):
