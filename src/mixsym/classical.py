@@ -47,12 +47,13 @@ def symbol(space, alpha, beta):
     out = [0] * space.classical.rank
     for x, sign in ((beta, 1), (alpha, -1)):
         for row in _from_infinity(space, x):
-            out = [a + sign * b for a, b in zip(out, row)]
+            for j, y in row:
+                out[j] += sign * y
     return out
 
 
 def _from_infinity(space, x):
-    """Rows for {oo, x} as a telescoping sum of Manin symbols over convergents."""
+    """Sparse rows for {oo, x} as a telescoping sum of Manin symbols over convergents."""
     if x is INFINITY:
         return []
     p, q = x.numerator, x.denominator
@@ -74,7 +75,7 @@ def _from_infinity(space, x):
 
 
 def _manin_row(space, g):
-    return list(space.classical.project[space.cosets.coset_of(g)])
+    return space.classical.project[space.cosets.coset_of(g)]
 
 
 def boundary_matrix(space):

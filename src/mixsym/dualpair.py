@@ -39,7 +39,7 @@ from math import isqrt, prod
 from .mms import InvalidInputError, expected_homology_index
 from .zlattice import (common_denominator, factor, kernel_basis, lcm_list,
                        mat_mul, mat_scale, mat_transpose, smith_invariants,
-                       vec_mat)
+                       vec_mat, vec_mat_sparse)
 
 
 @dataclass
@@ -73,14 +73,21 @@ def pairing_matrix(space):
     With the corner symbols A = {gS,g} = -M_i, B = {gTS,gT} = -M_iT,
     C = {g,gT} = C_c(i) and D = {g,gS} = M_i stacked over the cosets, six
     times the Gram matrix is A^T B - B^T A - 4(C^T D - D^T C) = K - K^T for
-    K = A^T B - 4 C^T D, computed as one integer product.
+    K = A^T B - 4 C^T D, summed in integers as one outer product of sparse
+    ``project`` rows per coset, M_i^T M_iT - 4 C_c(i)^T M_i.
     """
-    n = space.n_manin
-    manin = space.quotient.project[:n]
-    left = manin + [space.cusp_gen(c) for c in space.cusps.cusp_of]
-    right = [manin[space.cosets.act(i, "T")] for i in range(n)]
-    right += [[-4 * x for x in row] for row in manin]
-    k = mat_mul(mat_transpose(left), right)
+    n, rank = space.n_manin, space.rank
+    project = space.quotient.project
+    t_act, cusp_of = space.cosets.action["T"], space.cusps.cusp_of
+    k = [[0] * rank for _ in range(rank)]
+    for i in range(n):
+        manin = project[i]
+        for left, right, scale in ((manin, project[t_act[i]], 1),
+                                   (project[n + cusp_of[i]], manin, -4)):
+            for a, x in left:
+                row, sx = k[a], scale * x
+                for b, y in right:
+                    row[b] += sx * y
     six = [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]
     return PairingMatrix(six_mat=six)
 
@@ -215,12 +222,12 @@ def lambda_from_dual(space, phi):
     The functional must vanish on the cusp generators; the resulting
     coefficients are checked against both cycle conditions.
     """
+    project, n = space.quotient.project, space.n_manin
     for c in range(space.n_cusp):
-        if sum(x * y for x, y in zip(space.cusp_gen(c), phi)) != 0:
+        if sum(x * phi[j] for j, x in project[n + c]) != 0:
             raise InvalidInputError("functional must vanish on cusp generators")
     # lambda_i = phi({gS, g}) = -phi(ManinGen(i))
-    lam = [-sum(x * y for x, y in zip(space.quotient.project[i], phi))
-           for i in range(space.n_manin)]
+    lam = [-sum(x * phi[j] for j, x in project[i]) for i in range(n)]
     _check_cycle_conditions(space, lam)
     return lam
 
@@ -253,7 +260,7 @@ def _six_times_cycle(space, lam):
     With {gS,g} = -ManinGen(i) and {g,gT} = CuspGen(c(i)) the summand at
     coset i is lambda_{i tau} * (M_{i tau^2} - M_i) - 4 * lambda_i * C_c(i).
     The coefficients are gathered on the ambient generators first, so each
-    ``project`` row is added once.  The caller has checked the cycle
+    sparse ``project`` row is added once.  The caller has checked the cycle
     conditions on lam.
     """
     s_act, t_act = space.cosets.action["S"], space.cosets.action["T"]
@@ -267,7 +274,7 @@ def _six_times_cycle(space, lam):
             amb[t_act[s_act[t1]]] += x
         if lam[i]:
             amb[n_manin + cusp_of[i]] -= 4 * lam[i]
-    return vec_mat(amb, space.quotient.project)
+    return vec_mat_sparse(enumerate(amb), space.quotient.project, space.rank)
 
 
 def verify_G_identity(space, pairing=None):

@@ -38,7 +38,7 @@ from math import gcd
 from .sl2 import (MAT_ID, MAT_S, MAT_T, conj_entries, gamma0_with_lower_right,
                   gcdex, mmul)
 from .mms import InvalidInputError, reduce_pair, reduce_pair_scaled
-from .zlattice import factor, identity_matrix, mat_mul
+from .zlattice import factor, identity_matrix, mat_mul, sparse_rows
 
 
 @dataclass
@@ -104,13 +104,12 @@ def operator_from_pair_map(space, fn, name, denominator=1):
     pairs = generator_pairs(space)
     images = {}
     rows = []
-    for lift_row in space.quotient.lift:
+    for lift_row in sparse_rows(space.quotient.lift):
         row = [0] * space.rank
-        for k, c in enumerate(lift_row):
-            if c:
-                if k not in images:
-                    images[k] = fn(*pairs[k])
-                row = [x + c * y for x, y in zip(row, images[k])]
+        for k, c in lift_row:
+            if k not in images:
+                images[k] = fn(*pairs[k])
+            row = [x + c * y for x, y in zip(row, images[k])]
         rows.append(row)
     return OperatorMatrix(name, rows, denominator)
 

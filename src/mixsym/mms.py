@@ -22,9 +22,9 @@ from math import gcd
 from . import sl2
 from .sl2 import (GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul,
                   mneg, stword_decompose)
-from .zlattice import (QuotientLattice, identity_matrix, kernel_basis, mat_mul,
-                       quotient_by_rows, smith_invariants, sublattice_index,
-                       vec_mat)
+from .zlattice import (QuotientLattice, dense_rows, identity_matrix, kernel_basis,
+                       mat_mul, quotient_by_rows, smith_invariants, sparse_rows,
+                       sublattice_index, vec_mat, vec_mat_sparse)
 
 
 class PresentationError(Exception):
@@ -73,12 +73,12 @@ class SymbolSpace:
         return self.quotient.rank
 
     def manin_gen(self, idx):
-        """Basis coordinates of the Manin generator {rep, rep*S}."""
-        return list(self.quotient.project[idx])
+        """Basis coordinates of the Manin generator {rep, rep*S}, dense."""
+        return dense_rows([self.quotient.project[idx]], self.rank)[0]
 
     def cusp_gen(self, c):
-        """Basis coordinates of the cusp generator {g, gT} at cusp class c."""
-        return list(self.quotient.project[self.n_manin + c])
+        """Basis coordinates of the cusp generator {g, gT} at cusp class c, dense."""
+        return dense_rows([self.quotient.project[self.n_manin + c]], self.rank)[0]
 
     def cusp_sublattice(self):
         """Generating rows of the span of the cusp generators."""
@@ -129,9 +129,9 @@ def build_space(spec):
     classical = quotient_by_rows([row[:n_manin] for row in relations[:2 * n_manin]],
                                  n_manin)
 
-    pi_ambient = [list(classical.project[i]) for i in range(n_manin)]
-    pi_ambient += [[0] * classical.rank for _ in range(n_cusp)]
-    pi_basis = mat_mul(quotient.lift, pi_ambient)
+    # the cusp generators map to 0 under pi
+    pi_basis = [vec_mat_sparse(row, classical.project, classical.rank)
+                for row in sparse_rows([row[:n_manin] for row in quotient.lift])]
 
     boundary_ambient = []
     for i in range(n_manin):
@@ -176,12 +176,7 @@ def _reduce_to_ambient(space, g, gprime):
 
 def _combine(space, amb):
     """Basis coordinates of sum of x * (ambient generator k) over amb.items()."""
-    project = space.quotient.project
-    out = [0] * space.rank
-    for k, x in amb.items():
-        if x:
-            out = [s + x * y for s, y in zip(out, project[k])]
-    return out
+    return vec_mat_sparse(amb.items(), space.quotient.project, space.rank)
 
 
 def reduce_pair(space, g, gprime):
@@ -378,7 +373,7 @@ def space_to_dict(space):
         "cosets": [srow(m) for m in space.cosets.reps],
         "cusps": cusp_records,
         "basis_rank": str(space.rank),
-        "project": [srow(r) for r in space.quotient.project],
+        "project": [srow(r) for r in dense_rows(space.quotient.project, space.rank)],
         "lift": [srow(r) for r in space.quotient.lift],
         "pi": [srow(r) for r in space.pi_basis],
         "boundary": [srow(r) for r in space.boundary_basis],

@@ -8,6 +8,7 @@ map with matrix ``M`` is ``x * M``.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, inf, prod
 
 
@@ -46,8 +47,38 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq_zero(a):
-    return all(x == 0 for row in a for x in row)
+def sparse_rows(a):
+    """Each row of ``a`` as a tuple of its non-zero (column, value) pairs, in column order."""
+    return [tuple((j, row[j]) for j in compress(range(len(row)), row)) for row in a]
+
+
+def dense_rows(vecs, n, by_columns=False):
+    """The list-of-rows matrix whose rows (or, ``by_columns``, columns) are
+    the sparse vectors ``vecs`` of length ``n``, each an iterable of
+    (index, value) pairs."""
+    shape = (n, len(vecs)) if by_columns else (len(vecs), n)
+    out = [[0] * shape[1] for _ in range(shape[0])]
+    for i, vec in enumerate(vecs):
+        for j, x in vec:
+            if by_columns:
+                out[j][i] = x
+            else:
+                out[i][j] = x
+    return out
+
+
+def vec_mat_sparse(terms, rows, n):
+    """Sum of x * rows[k] over the (k, x) in ``terms``, as a dense row of length n.
+
+    ``rows`` are sparse rows of (column, value) pairs, so each term costs
+    the non-zero entries of its row.
+    """
+    out = [0] * n
+    for k, x in terms:
+        if x:
+            for j, y in rows[k]:
+                out[j] += x * y
+    return out
 
 
 def _row_hnf(h, cols):
@@ -130,22 +161,24 @@ def _add_multiple(dst, src, k):
             del dst[c]
 
 
-def _dense(vecs, n, by_columns=False):
-    """The list-of-rows matrix whose rows (or, ``by_columns``, columns) are the
-    sparse vectors ``vecs`` of length ``n``."""
-    shape = (n, len(vecs)) if by_columns else (len(vecs), n)
-    out = [[0] * shape[1] for _ in range(shape[0])]
-    for i, vec in enumerate(vecs):
-        for j, x in vec.items():
-            if by_columns:
-                out[j][i] = x
-            else:
-                out[i][j] = x
-    return out
-
-
 def snf(a):
     """Smith normal form with transforms; returns a SmithDecomposition.
+
+    The dense form of ``_snf_sparse``, which states the pivot rule.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u, d, v, vinv = ([x.items() for x in m] for m in _snf_sparse(sparse_rows(a), cols))
+    return SmithDecomposition(u=dense_rows(u, rows, by_columns=True),
+                              d=dense_rows(d, cols), v=dense_rows(v, cols),
+                              vinv=dense_rows(vinv, cols, by_columns=True))
+
+
+def _snf_sparse(a, cols):
+    """Smith normal form a = u * d * v as sparse (u, d, v, vinv).
+
+    ``a`` is given by its sparse rows, each an iterable of (column, value)
+    pairs, and has ``cols`` columns.
 
     The pivot rule is the contract, and the pinned digests of the
     transforms hold it: at step t the pivot of the trailing block is its
@@ -159,12 +192,11 @@ def snf(a):
     ``u`` and ``vinv`` by columns and ``v`` by rows, the sides that the row
     and column operations touch.  Rows above t are finished (their only
     entry is on the diagonal), so a column operation visits the rows from
-    t on, and a column add only those with an entry in column t.  All four
-    matrices are returned dense.
+    t on, and a column add only those with an entry in column t.  The four
+    matrices are returned in those sparse forms, as lists of dicts.
     """
     rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [{j: x for j, x in enumerate(row) if x} for row in a]
+    d = [dict(row) for row in a]
     u = [{i: 1} for i in range(rows)]  # columns of u
     v = [{i: 1} for i in range(cols)]  # rows of v
     vinv = [{i: 1} for i in range(cols)]  # columns of vinv
@@ -266,8 +298,7 @@ def snf(a):
         if p < 0:
             row_negate(t)
         t += 1
-    return SmithDecomposition(u=_dense(u, rows, by_columns=True), d=_dense(d, cols),
-                              v=_dense(v, cols), vinv=_dense(vinv, cols, by_columns=True))
+    return u, d, v, vinv
 
 
 def _hnf_rows(a):
@@ -299,7 +330,9 @@ class QuotientLattice:
     """Largest torsion-free quotient of Z^n by the row span of a relation matrix.
 
     ``project`` (n x rank) sends an ambient row vector to its coordinates in
-    the quotient basis; ``lift`` (rank x n) is a section, so
+    the quotient basis; it is stored as sparse rows, each a tuple of the
+    non-zero (column, value) pairs in column order (``dense_rows`` gives the
+    matrix).  ``lift`` (rank x n, dense) is a section, so
     ``lift * project = identity`` and the relations map to 0 under ``project``.
     ``torsion`` lists the invariant factors > 1 of the full quotient
     (the part discarded when passing to the torsion-free quotient).
@@ -312,21 +345,33 @@ class QuotientLattice:
 
 
 def quotient_by_rows(relations, ambient_rank):
-    """Torsion-free quotient of Z^ambient_rank by the rows of ``relations``."""
+    """Torsion-free quotient of Z^ambient_rank by the rows of ``relations``.
+
+    With relations = u * d * v in Smith form and r non-zero invariants,
+    ``project`` is the last n - r columns of v^-1 and ``lift`` the last
+    n - r rows of v, both read off the sparse elimination.
+    """
     if relations and any(len(row) != ambient_rank for row in relations):
         raise LatticeError("relation rows must have length ambient_rank")
     if not relations:
-        return QuotientLattice(ambient_rank, identity_matrix(ambient_rank),
-                               identity_matrix(ambient_rank))
-    dec = snf(relations)
-    r = len(dec.invariants)
-    project = [row[r:] for row in dec.vinv]
-    lift = dec.v[r:]
-    torsion = [x for x in dec.invariants if x not in (1, -1)]
-    q = QuotientLattice(ambient_rank - r, project, lift, torsion)
-    assert mat_mul(q.lift, q.project) == identity_matrix(q.rank)
-    assert mat_eq_zero(mat_mul(relations, q.project))
-    return q
+        eye = identity_matrix(ambient_rank)
+        return QuotientLattice(ambient_rank, sparse_rows(eye), eye)
+    relations = sparse_rows(relations)
+    _, d, v, vinv = _snf_sparse(relations, ambient_rank)
+    invariants = [d[i][i] for i in range(min(len(d), ambient_rank)) if d[i].get(i)]
+    r = len(invariants)
+    rank = ambient_rank - r
+    project = [[] for _ in range(ambient_rank)]
+    for j in range(r, ambient_rank):
+        for i, x in vinv[j].items():
+            project[i].append((j - r, x))
+    project = [tuple(row) for row in project]
+    lift = dense_rows([v[j].items() for j in range(r, ambient_rank)], ambient_rank)
+    torsion = [x for x in invariants if x not in (1, -1)]
+    assert [vec_mat_sparse(row, project, rank) for row in sparse_rows(lift)] \
+        == identity_matrix(rank)
+    assert not any(any(vec_mat_sparse(row, project, rank)) for row in relations)
+    return QuotientLattice(rank, project, lift, torsion)
 
 
 def kernel_basis(a):

@@ -1,7 +1,7 @@
 """Routines used only by the tests: exact determinant, characteristic
 polynomial and rank, the dense Smith normal form, the matrix-prefix walk for
-reduce_pair, the Fraction routes for the rational and composite Hecke
-operators, and the mpc loop for the digamma series."""
+reduce_pair, the dense pairing product, the Fraction routes for the rational
+and composite Hecke operators, and the mpc loop for the digamma series."""
 
 from fractions import Fraction
 from math import gcd
@@ -12,8 +12,9 @@ from mixsym.hecke import diamond, generator_pairs, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
 from mixsym.sl2 import MAT_S, minv, mmul, mpow_t, stword_decompose
-from mixsym.zlattice import (SmithDecomposition, factor, hnf, identity_matrix,
-                             mat_copy, mat_mul, vec_mat)
+from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
+                             identity_matrix, mat_copy, mat_mul, mat_transpose,
+                             vec_mat)
 
 
 def mat_rank(a):
@@ -165,7 +166,7 @@ def reduce_pair_matrix_walk(space, g, gprime):
     """{g, g'} by multiplying out every prefix of the S/T word of g^-1 * g'.
 
     The coset of each whole prefix matrix is read with ``coset_of``; the
-    ambient coordinates are then multiplied densely by ``project``.
+    ambient coordinates are then multiplied by the dense ``project`` matrix.
     """
     amb = [0] * (space.n_manin + space.n_cusp)
     word, _ = stword_decompose(mmul(minv(g), gprime))
@@ -178,7 +179,22 @@ def reduce_pair_matrix_walk(space, g, gprime):
         else:
             amb[i] += 1
             prefix = mmul(prefix, MAT_S)
-    return vec_mat(amb, space.quotient.project)
+    return vec_mat(amb, dense_rows(space.quotient.project, space.rank))
+
+
+def six_mat_dense(space):
+    """``dualpair.pairing_matrix``'s six_mat as one dense integer product.
+
+    K = A^T B - 4 C^T D over the dense corner rows stacked by coset:
+    A = M_i, B = M_iT, C = C_c(i), D = M_i; six_mat = K - K^T.
+    """
+    n = space.n_manin
+    manin = dense_rows(space.quotient.project[:n], space.rank)
+    left = manin + [space.cusp_gen(c) for c in space.cusps.cusp_of]
+    right = [manin[space.cosets.act(i, "T")] for i in range(n)]
+    right += [[-4 * x for x in row] for row in manin]
+    k = mat_mul(mat_transpose(left), right)
+    return [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]
 
 
 def reduce_pair_rational_fractions(space, m, mprime):

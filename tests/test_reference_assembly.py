@@ -15,13 +15,13 @@ from math import gcd
 
 import pytest
 
-from mixsym import dualpair, hecke
+from mixsym import classical, dualpair, hecke, mms, zlattice
 from mixsym.mms import build_space, reduce_pair
 from mixsym.sl2 import MAT_S, MAT_T, MAT_TAU, GroupSpec, mmul
-from mixsym.zlattice import common_denominator, mat_mul
+from mixsym.zlattice import common_denominator, dense_rows, mat_mul, sparse_rows
 
 from _reference import (atkin_lehner_fractions, hecke_composite_fractions,
-                        hecke_rational_fractions)
+                        hecke_rational_fractions, six_mat_dense)
 
 LEVELS = [("gamma0", 11), ("gamma0", 25), ("gamma0", 36), ("gamma1", 7),
           ("gamma1", 13)]
@@ -98,10 +98,11 @@ def test_assembly_does_not_assume_a_selection(recorded, family, level):
     # so row 1 of lift' has a coefficient -2
     lift = [list(row) for row in q.lift]
     lift[1] = [x - 2 * y for x, y in zip(lift[1], lift[0])]
-    project = [[row[0] + 2 * row[1]] + list(row[1:]) for row in q.project]
+    dense = dense_rows(q.project, q.rank)
+    project = [[row[0] + 2 * row[1]] + list(row[1:]) for row in dense]
     mixed = dataclasses.replace(
-        sp, quotient=dataclasses.replace(q, lift=lift, project=project))
-    assert mat_mul(lift, project) == mat_mul(q.lift, q.project)
+        sp, quotient=dataclasses.replace(q, lift=lift, project=sparse_rows(project)))
+    assert mat_mul(lift, project) == mat_mul(q.lift, dense)
     assert -2 in mixed.quotient.lift[1]
     hecke.hecke_operator(mixed, 3)
     hecke.complex_conjugation(mixed)
@@ -236,6 +237,43 @@ def test_pairing_matches_corner_symbol_route(family, level):
     assert pm.six_mat == ref
     assert all(type(x) is int for row in pm.six_mat for x in row)
     assert pm.mat == [[Fraction(x, 6) for x in row] for row in ref]
+
+
+@pytest.mark.parametrize("family,levels", [("gamma0", range(1, 61)),
+                                           ("gamma1", range(1, 21))])
+def test_pairing_matches_dense_product(family, levels):
+    """The sparse per-coset outer products give the dense product's six_mat."""
+    for level in levels:
+        sp = _space(family, level)
+        assert dualpair.pairing_matrix(sp).six_mat == six_mat_dense(sp), level
+
+
+@pytest.mark.parametrize("family,level", [("gamma0", 37), ("gamma1", 13)])
+def test_readers_of_project_stay_sparse(monkeypatch, family, level):
+    """Reductions, operators, the pairing and the G cycle never densify a
+    ``project`` row; only the export and the HNF feeders manin_gen/cusp_gen do."""
+    sp = _space(family, level)
+    basis = dualpair.dual_cuspless_basis(sp)
+
+    def refuse(*_):
+        raise AssertionError("dense project row built")
+
+    for mod in (zlattice, mms):
+        monkeypatch.setattr(mod, "dense_rows", refuse)
+    monkeypatch.setattr(mms.SymbolSpace, "manin_gen", refuse)
+    monkeypatch.setattr(mms.SymbolSpace, "cusp_gen", refuse)
+    reduce_pair(sp, MAT_S, mmul(MAT_TAU, MAT_T))
+    mms.reduce_pair_rational(sp, MAT_S, (1, Fraction(1, 3), 0, 1))
+    mms.homology_sublattice(sp)
+    for q in (2, 3, 5):
+        hecke.hecke_operator(sp, q)
+        classical.hecke_matrix(sp, q)
+    hecke.atkin_lehner(sp)
+    hecke.complex_conjugation(sp)
+    hecke.diamond(sp, 2)
+    dualpair.pairing_matrix(sp)
+    for phi in basis:
+        dualpair.lambda_to_mms(sp, dualpair.lambda_from_dual(sp, phi))
 
 
 @pytest.mark.parametrize("family,level", LEVELS)

@@ -10,10 +10,11 @@ import pytest
 
 from mixsym import dualpair, sl2
 from mixsym.mms import _assemble_relations, build_space
-from mixsym.zlattice import (LatticeError, hnf, identity_matrix, kernel_basis,
-                             lcm_list, mat_mul, mat_transpose, quotient_by_rows,
-                             smith_invariants, snf, solve_rational,
-                             sublattice_index, vec_mat)
+from mixsym.zlattice import (LatticeError, dense_rows, hnf, identity_matrix,
+                             kernel_basis, lcm_list, mat_mul, mat_transpose,
+                             quotient_by_rows, smith_invariants, snf,
+                             solve_rational, sparse_rows, sublattice_index,
+                             vec_mat)
 
 from _reference import charpoly, det_rational, mat_rank, snf_dense
 from test_dualpair import PERFECTNESS_LEVELS
@@ -156,6 +157,16 @@ class TestSNF:
             _assert_same_snf(dualpair.pairing_matrix(space).six_mat)
 
 
+def _assert_section_matches_snf(rel, n):
+    q, dec = quotient_by_rows(rel, n), snf(rel)
+    r = len(dec.invariants)
+    # project rows are tuples of the non-zero (column, value) pairs in column order
+    assert q.project == sparse_rows(dense_rows(q.project, q.rank)), rel
+    assert dense_rows(q.project, q.rank) == [row[r:] for row in dec.vinv], rel
+    assert q.lift == dec.v[r:], rel
+    assert q.torsion == [x for x in dec.invariants if x != 1], rel
+
+
 def _assert_same_snf(a):
     got, want = snf(a), snf_dense(a)
     assert (got.u, got.d, got.v, got.vinv) == (want.u, want.d, want.v, want.vinv), a
@@ -289,9 +300,35 @@ class TestQuotient:
             n = rng.randint(1, 5)
             rel = random_matrix(rng, rng.randint(0, 4), n)
             q = quotient_by_rows(rel, n)
+            project = dense_rows(q.project, q.rank)
             if rel:
-                assert all(x == 0 for row in mat_mul(rel, q.project) for x in row)
-            assert mat_mul(q.lift, q.project) == identity_matrix(q.rank)
+                assert all(x == 0 for row in mat_mul(rel, project) for x in row)
+            assert mat_mul(q.lift, project) == identity_matrix(q.rank)
+
+    # project and lift are read off the sparse elimination: they must be the
+    # columns of vinv and the rows of v that the dense snf gives
+    def test_section_matches_snf_on_random_matrices(self):
+        # even k: the shapes of test_section_properties; odd k: entries in
+        # -3..3 up to 6 x 6, the sizes of the pinned snf transforms
+        rng = random.Random(16)
+        for k in range(400):
+            if k % 2 == 0:
+                n = rng.randint(1, 5)
+                rel = random_matrix(rng, rng.randint(1, 4), n)
+            else:
+                n = rng.randint(1, 6)
+                rel = random_matrix(rng, rng.randint(1, 6), n, -3, 3)
+            _assert_section_matches_snf(rel, n)
+
+    @pytest.mark.parametrize("family,levels", [
+        ("gamma0", list(range(1, 61)) + [101]), ("gamma1", range(2, 21))])
+    def test_section_matches_snf_on_relation_matrices(self, family, levels):
+        for level in levels:
+            cosets = sl2.enumerate_cosets(sl2.GroupSpec(family, level))
+            relations = _assemble_relations(cosets, sl2.cusp_table(cosets))
+            mu = cosets.index
+            _assert_section_matches_snf(relations, len(relations[0]))
+            _assert_section_matches_snf([row[:mu] for row in relations[:2 * mu]], mu)
 
     def test_torsion(self):
         q = quotient_by_rows([[2, 0]], 2)
