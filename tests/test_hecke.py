@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import hashlib
+from math import gcd
+
 import pytest
 
 from mixsym import classical, hecke
@@ -248,3 +251,36 @@ class TestRankZero:
         sp = _space("full", 1)
         assert hecke.hecke_operator(sp, 3).mat == []
         assert hecke.atkin_lehner(sp).mat == []
+
+
+# SHA-256 of the operators in TestOperatorsPinned, recorded before the
+# symbols were reduced by one walk summed on the ambient generators
+HECKE_DIGEST = "53c0601e630e74684dbfbd763bae4fb449a4d37499a3a0219c2637dfc6a6d12b"
+INVOLUTIONS_DIGEST = "555a8e3181a9e74305ac288f52ae70de1235ff52aedee1ad6142f00ab7efc792"
+
+
+class TestOperatorsPinned:
+    def test_hecke_operators_pinned(self):
+        """T_q and U_q for q in 2, 3, 5, 7 on Gamma0(2..40) and Gamma1(2..16)."""
+        h = hashlib.sha256()
+        for family, levels in (("gamma0", range(2, 41)), ("gamma1", range(2, 17))):
+            for level in levels:
+                sp = _space(family, level)
+                for q in (2, 3, 5, 7):
+                    op = hecke.hecke_operator(sp, q)
+                    h.update(repr((family, level, q, op.name, op.num, op.den)).encode())
+        assert h.hexdigest() == HECKE_DIGEST
+
+    def test_involutions_and_diamonds_pinned(self):
+        """W_N, conjugation and <d> for every unit d in 1..N on Gamma0(2..60)
+        and Gamma1(2..20)."""
+        h = hashlib.sha256()
+        for family, levels in (("gamma0", range(2, 61)), ("gamma1", range(2, 21))):
+            for level in levels:
+                sp = _space(family, level)
+                ops = [hecke.atkin_lehner(sp), hecke.complex_conjugation(sp)]
+                ops += [hecke.diamond(sp, d) for d in range(1, level + 1)
+                        if gcd(d, level) == 1]
+                for op in ops:
+                    h.update(repr((family, level, op.name, op.num, op.den)).encode())
+        assert h.hexdigest() == INVOLUTIONS_DIGEST
