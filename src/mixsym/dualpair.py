@@ -137,13 +137,6 @@ def abs_pfaffian(det):
     return None
 
 
-def pairing_kernel(pairing):
-    """Basis of the rational radical {phi : phi * P = 0} of the pairing."""
-    if not pairing.six_mat:
-        return []
-    return kernel_basis(pairing.six_mat)
-
-
 def perfectness_report(space, pairing=None):
     """Structural facts about the pairing, for reporting and testing.
 

@@ -113,19 +113,25 @@ class DirichletCharacter:
                                   if self.modulus else 0, vals, f, self.is_even)
 
 
-def characters_mod(m):
-    """All phi(m) Dirichlet characters of odd prime-power modulus m."""
-    if m == 1:
-        return [DirichletCharacter(1, 0, {0: 1 + 0j}, 1, True)]
+def _unit_logs(m):
+    """(p, n, phi, dlog) for m = p^n: dlog maps each unit g^k to k, in the
+    order k = 0 .. phi - 1, for the primitive root g of ``_primitive_root``."""
     p, n = _odd_prime_power(m)
     g = _primitive_root(m)
     phi = m // p * (p - 1)
-    # discrete logs: unit g^k -> k
     dlog = {}
     x = 1
     for k in range(phi):
         dlog[x] = k
         x = x * g % m
+    return p, n, phi, dlog
+
+
+def characters_mod(m):
+    """All phi(m) Dirichlet characters of odd prime-power modulus m."""
+    if m == 1:
+        return [DirichletCharacter(1, 0, {0: 1 + 0j}, 1, True)]
+    p, n, phi, dlog = _unit_logs(m)
     out = []
     for j in range(phi):
         vals = {u: cmath.exp(2j * cmath.pi * j * k / phi)
@@ -379,13 +385,29 @@ def _det(a):
     return det
 
 
+def _even_nontrivial_primitive_parts(pn):
+    """The primitive parts of the even non-trivial characters mod pn.
+
+    Equal, field for field and in order, to ``chi.primitive_part()`` for the
+    even non-trivial ``chi`` of ``characters_mod(pn)``, the even indices j =
+    2, 4, ... < phi.  Each value is the same expression at the modulus pn,
+    evaluated only at the units below the conductor; no odd character and
+    no table modulo pn of an imprimitive one is built.
+    """
+    p, n, phi, dlog = _unit_logs(pn)
+    out = []
+    for j in range(2, phi, 2):
+        f = p ** (n - factor(j).get(p, 0))
+        units = dlog if f == pn else [b for b in range(1, f) if b % p]
+        vals = {u: cmath.exp(2j * cmath.pi * j * dlog[u] / phi) for u in units}
+        out.append(DirichletCharacter(f, j * f // pn, vals, f, True))
+    return out
+
+
 def _even_nontrivial_product(pn, route="series"):
     """prod over even chi != 1 mod pn of (f_chi/(2*tau(chi))) * L(chi,1)."""
     out = 1 + 0j
-    for chi in characters_mod(pn):
-        if chi.is_trivial or not chi.is_even:
-            continue
-        prim = chi.primitive_part()
+    for prim in _even_nontrivial_primitive_parts(pn):
         out *= prim.modulus / (2 * gauss_sum(prim)) \
             * l_even_char_at_1(prim, route=route)
     return out

@@ -22,8 +22,11 @@ is built.  For odd q not dividing N each m*g splits as t*((1,j),(0,q)) or
 t*diag(q,1) with t unimodular, so the image is the integral symbol
 {t, t'} and T_q is an int matrix.  Otherwise each image is evaluated
 through rational symbols, whose denominators divide q: it is summed in
-ints as q times its coordinates (``reduce_pair_scaled``).  W_N is
-evaluated the same way, with w = ((0,-1),(N,0)) and N in place of q.
+ints as q times its coordinates.  W_N is evaluated the same way, with
+w = ((0,-1),(N,0)) and N in place of q.
+
+Images are summed on the ambient generators, as {generator: coefficient}
+dicts, and each row is projected to the basis once.
 
 Every operator is stored as an int matrix ``num`` over one positive int
 ``den`` (q for T_2 and U_q, N for W_N, 1 otherwise).  Products and checks
@@ -37,7 +40,7 @@ from math import gcd
 
 from .sl2 import (MAT_ID, MAT_S, MAT_T, conj_entries, gamma0_with_lower_right,
                   gcdex, mmul)
-from .mms import InvalidInputError, reduce_pair, reduce_pair_scaled
+from .mms import InvalidInputError, _add_pair, _add_scaled, _combine
 from .zlattice import factor, identity_matrix, mat_mul, sparse_rows
 
 
@@ -94,23 +97,28 @@ def generator_pairs(space):
 
 
 def operator_from_pair_map(space, fn, name, denominator=1):
-    """Assemble the operator {g,g'} -> fn(g,g') / denominator.
+    """Assemble the operator whose image of {g,g'} is fn's, over ``denominator``.
 
-    fn gives basis coordinates times ``denominator``.  Row j combines the
-    images of the ambient generators with the integer coefficients of row j
-    of ``lift``; fn runs once per generator that occurs.  The sums are kept
-    as ``num`` over ``den = denominator``; nothing is divided.
+    ``fn(amb, g, g')`` adds ``denominator`` times the image of {g,g'} into
+    amb, a {ambient generator index: int coefficient} dict.  Row j combines
+    the images of the ambient generators with the integer coefficients of
+    row j of ``lift`` and projects the sum to the basis once; fn runs once
+    per generator that occurs.  The rows are kept as ``num`` over
+    ``den = denominator``; nothing is divided.
     """
     pairs = generator_pairs(space)
     images = {}
     rows = []
     for lift_row in sparse_rows(space.quotient.lift):
-        row = [0] * space.rank
+        amb = {}
         for k, c in lift_row:
-            if k not in images:
-                images[k] = fn(*pairs[k])
-            row = [x + c * y for x, y in zip(row, images[k])]
-        rows.append(row)
+            image = images.get(k)
+            if image is None:
+                image = images[k] = {}
+                fn(image, *pairs[k])
+            for i, x in image.items():
+                amb[i] = amb.get(i, 0) + c * x
+        rows.append(_combine(space, amb))
     return OperatorMatrix(name, rows, denominator)
 
 
@@ -118,7 +126,7 @@ def complex_conjugation(space):
     """The involution {g,g'} -> {gbar, g'bar} (off-diagonal signs flipped)."""
     return operator_from_pair_map(
         space,
-        lambda g, gp: reduce_pair(space, conj_entries(g), conj_entries(gp)),
+        lambda amb, g, gp: _add_pair(space, amb, conj_entries(g), conj_entries(gp)),
         "conj")
 
 
@@ -132,7 +140,7 @@ def diamond(space, d):
     gamma = gamma0_with_lower_right(n, d)
     return operator_from_pair_map(
         space,
-        lambda g, gp: reduce_pair(space, mmul(gamma, g), mmul(gamma, gp)),
+        lambda amb, g, gp: _add_pair(space, amb, mmul(gamma, g), mmul(gamma, gp)),
         f"diamond({d})")
 
 
@@ -157,10 +165,13 @@ def _translate(h, q):
     h11, h12, h21, h22 = h
     if h11 % q == 0 and h21 % q == 0:
         return (h11 // q, h12, h21 // q, h22)
-    for j in range(-(q - 1) // 2, (q - 1) // 2 + 1):
-        if (h12 - h11 * j) % q == 0 and (h22 - h21 * j) % q == 0:
-            return (h11, (h12 - h11 * j) // q, h21, (h22 - h21 * j) // q)
-    raise AssertionError("no coset translate found; determinant not prime?")
+    # j solves h12 = h11 * j and h22 = h21 * j mod q; one equation has a unit
+    # coefficient, and det(h) = 0 mod q makes the other follow
+    j = h12 * pow(h11, -1, q) if h11 % q else h22 * pow(h21, -1, q)
+    j %= q
+    if j > (q - 1) // 2:
+        j -= q
+    return (h11, (h12 - h11 * j) // q, h21, (h22 - h21 * j) // q)
 
 
 def hecke_operator(space, q):
@@ -171,20 +182,18 @@ def hecke_operator(space, q):
         return OperatorMatrix(name, [])
     reps = _coset_reps(space, q)
     if q % 2 and n % q:
-        def image(h, hp):
-            return reduce_pair(space, _translate(h, q), _translate(hp, q))
+        def add_image(amb, h, hp):
+            _add_pair(space, amb, _translate(h, q), _translate(hp, q))
         den = 1
     else:
         # every m * g is primitive of determinant q, so q clears its denominator
-        def image(h, hp):
-            return reduce_pair_scaled(space, h, hp, q)
+        def add_image(amb, h, hp):
+            _add_scaled(space, amb, h, hp, q)
         den = q
 
-    def fn(g, gp):
-        total = [0] * space.rank
+    def fn(amb, g, gp):
         for m in reps:
-            total = [x + y for x, y in zip(total, image(mmul(m, g), mmul(m, gp)))]
-        return total
+            add_image(amb, mmul(m, g), mmul(m, gp))
 
     return operator_from_pair_map(space, fn, name, den)
 
@@ -198,7 +207,7 @@ def atkin_lehner(space):
     # w * g is primitive of determinant N, so N clears its denominator
     return operator_from_pair_map(
         space,
-        lambda g, gp: reduce_pair_scaled(space, mmul(w, g), mmul(w, gp), n),
+        lambda amb, g, gp: _add_scaled(space, amb, mmul(w, g), mmul(w, gp), n),
         f"W{n}", n)
 
 

@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import sl2
-from .sl2 import (GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul,
-                  mneg, stword_decompose)
+from .sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul, mneg
 from .zlattice import (QuotientLattice, dense_rows, identity_matrix, kernel_basis,
                        mat_mul, quotient_by_rows, smith_invariants, sparse_rows,
                        sublattice_index, vec_mat, vec_mat_sparse)
@@ -146,32 +145,43 @@ def build_space(spec):
                        pi_basis, boundary_basis, g)
 
 
-def _reduce_to_ambient(space, g, gprime):
-    """{g, g'} as {ambient generator index: coefficient}, zeros included.
+def _add_pair(space, amb, g, gprime, s=1):
+    """Add s * {g, g'} into amb, {ambient generator index: coefficient}.
 
-    Writing g^-1 * g' = +-T^(a_0) S T^(a_1) S ... telescopes {g, g'} into
-    one symbol per letter at the prefix h = g * (letters before it):
-    {h, h*T^k} is k times the cusp generator at h's coset and {h, h*S} is
-    the Manin generator of h's coset.  A coset depends only on the bottom
-    row (c, d) of h, so the walk tracks that row alone: T^k sends it to
-    (c, c*k + d) and S to (d, -c).
+    The Euclidean algorithm on the first column of m = g^-1 * g' writes it
+    as +-T^(a_0) S T^(a_1) S ... T^(a_k), which telescopes {g, g'} into one
+    symbol per letter at the prefix h = g * (letters before it): {h, h*T^a}
+    is a times the cusp generator at h's coset and {h, h*S} is the Manin
+    generator of h's coset.  A coset depends only on the bottom row (c, d)
+    of h mod N, so the walk moves that row alone, in the same loop: T^a
+    sends it to (c, c*a + d) and S to (d, -c).
     """
-    coset = space.cosets.coset_of_row
+    n = space.spec.level
+    index_of = space.cosets.index_of
     cusp_of = space.cusps.cusp_of
     n_manin = space.n_manin
-    word, _ = stword_decompose(mmul(minv(g), gprime))
-    c, d = g[2], g[3]
-    amb = {}
-    for tok in word:
-        i = coset(c, d)
-        if tok[0] == "T":
-            k = n_manin + cusp_of[i]
-            amb[k] = amb.get(k, 0) + tok[1]
-            d += c * tok[1]
-        else:
-            amb[i] = amb.get(i, 0) + 1
-            c, d = d, -c
-    return amb
+    a, b, c, d = g
+    p, q, r, t = gprime
+    # m = g^-1 * g', with g^-1 = (d, -b, -c, a)
+    ma, mb, mc, md = d * p - b * r, d * q - b * t, a * r - c * p, a * t - c * q
+    c, d = c % n, d % n
+    while mc:
+        k = ma // mc
+        if k:
+            i = n_manin + cusp_of[index_of[c * n + d]]
+            amb[i] = amb.get(i, 0) + s * k
+            d = (d + c * k) % n
+            ma, mb = ma - k * mc, mb - k * md
+        i = index_of[c * n + d]
+        amb[i] = amb.get(i, 0) + s
+        c, d = d, -c % n
+        # m <- S^-1 * m
+        ma, mb, mc, md = mc, md, -ma, -mb
+    # m is now +-T^k
+    k = mb if ma == 1 else -mb
+    if k:
+        i = n_manin + cusp_of[index_of[c * n + d]]
+        amb[i] = amb.get(i, 0) + s * k
 
 
 def _combine(space, amb):
@@ -183,7 +193,9 @@ def reduce_pair(space, g, gprime):
     """Basis coordinates of the symbol {g, g'} for unimodular g, g'."""
     if det(g) != 1 or det(gprime) != 1:
         raise InvalidInputError("arguments must be unimodular")
-    return _combine(space, _reduce_to_ambient(space, g, gprime))
+    amb = {}
+    _add_pair(space, amb, g, gprime)
+    return _combine(space, amb)
 
 
 def _primitive_integral(m):
@@ -229,12 +241,11 @@ def _split_rational(m):
     return alpha, b, d
 
 
-def reduce_pair_scaled(space, m, mprime, s):
-    """s times the basis coordinates of {m, m'}, as integers.
+def _add_scaled(space, amb, m, mprime, s):
+    """Add s * {m, m'} into amb, for rational m, m' of positive determinant.
 
-    m and m' are rational matrices of positive determinant.  Each is scaled
-    to a primitive integer matrix and factored as alpha * ((a, b), (0, d))
-    with alpha unimodular; then
+    Each of m, m' is scaled to a primitive integer matrix and factored as
+    alpha * ((a, b), (0, d)) with alpha unimodular; then
 
       s * {m, m'} = s * {alpha, alpha'} - (s*b/d) * cusp(alpha)
                     + (s*b'/d') * cusp(alpha'),
@@ -246,11 +257,21 @@ def reduce_pair_scaled(space, m, mprime, s):
     alpha2, b2, d2 = _split_rational(mprime)
     if s % d or s % d2:
         raise InvalidInputError(f"scale {s} is not a multiple of {d} and {d2}")
-    amb = {k: s * x for k, x in _reduce_to_ambient(space, alpha, alpha2).items()}
+    _add_pair(space, amb, alpha, alpha2, s)
     for beta, num in ((alpha, -s * b // d), (alpha2, s * b2 // d2)):
         if num:
             k = space.n_manin + space.cusps.cusp_of[space.cosets.coset_of(beta)]
             amb[k] = amb.get(k, 0) + num
+
+
+def reduce_pair_scaled(space, m, mprime, s):
+    """s times the basis coordinates of {m, m'}, as integers.
+
+    m and m' are rational matrices of positive determinant; see ``_add_scaled``.
+    Raises InvalidInputError unless s clears the denominators of {m, m'}.
+    """
+    amb = {}
+    _add_scaled(space, amb, m, mprime, s)
     return _combine(space, amb)
 
 

@@ -211,41 +211,6 @@ def enumerate_cosets(spec):
     return table
 
 
-def stword_decompose(g):
-    """Write g as sign * T^(a_0) S T^(a_1) S ... with S, T the standard generators.
-
-    Returns (word, sign) where word is a list of ("T", k) and ("S",) tokens and
-    multiplying them out (with sign) reproduces g exactly.
-    """
-    if det(g) != 1:
-        raise InvalidSpecError("matrix must have determinant 1")
-    word = []
-    m = g
-    # peel generators off the left (m = T^q * S * m') while the bottom-left
-    # entry is nonzero, running the Euclidean algorithm on the first column
-    while m[2] != 0:
-        a, b, c, d = m
-        q = a // c
-        if q:
-            word.append(("T", q))
-            a, b = a - q * c, b - q * d
-        word.append(("S",))
-        # S^-1 * (a,b,c,d) = (c, d, -a, -b)
-        m = (c, d, -a, -b)
-    sign = 1 if m[0] == 1 else -1
-    k = sign * m[1]
-    if k:
-        word.append(("T", k))
-    return word, sign
-
-
-def word_to_matrix(word, sign):
-    m = MAT_ID
-    for tok in word:
-        m = mmul(m, mpow_t(tok[1])) if tok[0] == "T" else mmul(m, MAT_S)
-    return m if sign == 1 else mneg(m)
-
-
 @dataclass
 class CuspTable:
     """Cusps of Gamma as orbits of the right T-translation on cosets.

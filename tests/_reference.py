@@ -1,7 +1,9 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, the dense Smith normal form, the matrix-prefix walk for
-reduce_pair, the dense pairing product, the Fraction routes for the rational
-and composite Hecke operators, and the mpc loop for the digamma series."""
+polynomial and rank, the dense Smith normal form, the S/T word of a matrix
+with the two walks over it for reduce_pair, the coset translate found by
+search, the pairing's radical and its dense product, the Fraction routes for
+the rational and composite Hecke operators, and the mpc loop for the digamma
+series."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,10 +13,11 @@ import mpmath
 from mixsym.hecke import diamond, generator_pairs, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
-from mixsym.sl2 import MAT_S, minv, mmul, mpow_t, stword_decompose
+from mixsym.sl2 import (MAT_ID, MAT_S, InvalidSpecError, det, minv, mmul, mneg,
+                        mpow_t)
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
-                             identity_matrix, mat_copy, mat_mul, mat_transpose,
-                             vec_mat)
+                             identity_matrix, kernel_basis, mat_copy, mat_mul,
+                             mat_transpose, vec_mat)
 
 
 def mat_rank(a):
@@ -162,6 +165,66 @@ def snf_dense(a):
     return SmithDecomposition(u=u, d=d, v=v, vinv=vinv)
 
 
+def stword_decompose(g):
+    """Write g as sign * T^(a_0) S T^(a_1) S ... with S, T the standard generators.
+
+    Returns (word, sign) where word is a list of ("T", k) and ("S",) tokens and
+    multiplying them out (with sign) reproduces g exactly.
+    """
+    if det(g) != 1:
+        raise InvalidSpecError("matrix must have determinant 1")
+    word = []
+    m = g
+    # peel generators off the left (m = T^q * S * m') while the bottom-left
+    # entry is nonzero, running the Euclidean algorithm on the first column
+    while m[2] != 0:
+        a, b, c, d = m
+        q = a // c
+        if q:
+            word.append(("T", q))
+            a, b = a - q * c, b - q * d
+        word.append(("S",))
+        # S^-1 * (a,b,c,d) = (c, d, -a, -b)
+        m = (c, d, -a, -b)
+    sign = 1 if m[0] == 1 else -1
+    k = sign * m[1]
+    if k:
+        word.append(("T", k))
+    return word, sign
+
+
+def word_to_matrix(word, sign):
+    m = MAT_ID
+    for tok in word:
+        m = mmul(m, mpow_t(tok[1])) if tok[0] == "T" else mmul(m, MAT_S)
+    return m if sign == 1 else mneg(m)
+
+
+def reduce_to_ambient_by_word(space, g, gprime):
+    """{g, g'} as {ambient generator index: coefficient}, zeros included, by
+    the token walk over ``stword_decompose(g^-1 * g')``.
+
+    One token at a time, in word order: the coset of the bottom row (c, d)
+    of the prefix is read with ``coset_of_row``, then T^k sends the row to
+    (c, c*k + d) and S to (d, -c).
+    """
+    coset = space.cosets.coset_of_row
+    cusp_of = space.cusps.cusp_of
+    word, _ = stword_decompose(mmul(minv(g), gprime))
+    c, d = g[2], g[3]
+    amb = {}
+    for tok in word:
+        i = coset(c, d)
+        if tok[0] == "T":
+            k = space.n_manin + cusp_of[i]
+            amb[k] = amb.get(k, 0) + tok[1]
+            d += c * tok[1]
+        else:
+            amb[i] = amb.get(i, 0) + 1
+            c, d = d, -c
+    return amb
+
+
 def reduce_pair_matrix_walk(space, g, gprime):
     """{g, g'} by multiplying out every prefix of the S/T word of g^-1 * g'.
 
@@ -180,6 +243,24 @@ def reduce_pair_matrix_walk(space, g, gprime):
             amb[i] += 1
             prefix = mmul(prefix, MAT_S)
     return vec_mat(amb, dense_rows(space.quotient.project, space.rank))
+
+
+def translate_by_search(h, q):
+    """``hecke._translate`` by trying every j in -(q-1)/2 .. (q-1)/2."""
+    h11, h12, h21, h22 = h
+    if h11 % q == 0 and h21 % q == 0:
+        return (h11 // q, h12, h21 // q, h22)
+    for j in range(-(q - 1) // 2, (q - 1) // 2 + 1):
+        if (h12 - h11 * j) % q == 0 and (h22 - h21 * j) % q == 0:
+            return (h11, (h12 - h11 * j) // q, h21, (h22 - h21 * j) // q)
+    raise AssertionError("no coset translate found; determinant not prime?")
+
+
+def pairing_kernel(pairing):
+    """Basis of the rational radical {phi : phi * P = 0} of the pairing."""
+    if not pairing.six_mat:
+        return []
+    return kernel_basis(pairing.six_mat)
 
 
 def six_mat_dense(space):

@@ -16,6 +16,7 @@ from mixsym.eis import (CharacterError, UnsupportedModulusError, bernoulli2,
                         gauss_sum, l_even_char_at_1, log_cyclotomic_matrices,
                         logdet_identity)
 from mixsym.sl2 import MAT_ID, MAT_S, MAT_T, mmul
+from mixsym.zlattice import factor
 
 from _reference import digamma_mpf, series_total_mpc
 
@@ -53,6 +54,19 @@ class TestCharacters:
         for m in (8, 12, 15):
             with pytest.raises(UnsupportedModulusError):
                 characters_mod(m)
+
+    def test_even_primitive_parts_built_directly(self):
+        """The direct primitive parts equal those read off characters_mod,
+        field for field (value dicts by ==, so bit for bit), at every odd
+        prime power up to 400."""
+        moduli = [m for m in range(3, 401, 2) if len(factor(m)) == 1]
+        assert len(moduli) == 89
+        for m in moduli:
+            chars = characters_mod(m)
+            direct = eis._even_nontrivial_primitive_parts(m)
+            assert direct == [c.primitive_part() for c in chars
+                              if c.is_even and not c.is_trivial], m
+            assert len(direct) == len(chars) // 2 - 1
 
 
 class TestGaussAndL:

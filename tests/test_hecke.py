@@ -3,17 +3,18 @@
 from fractions import Fraction
 
 import hashlib
+import random
 from math import gcd
 
 import pytest
 
 from mixsym import classical, hecke
 from mixsym.mms import InvalidInputError, build_space, kernel_of_boundary
-from mixsym.sl2 import GroupSpec
+from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul, mpow_t
 from mixsym.zlattice import (kernel_basis, mat_mul, smith_invariants, solve_rational,
                              vec_mat)
 
-from _reference import charpoly, hecke_rational_fractions
+from _reference import charpoly, hecke_rational_fractions, translate_by_search
 
 
 def _space(family, level, _cache={}):
@@ -244,6 +245,27 @@ class TestEichlerShimura:
                        for i, row in enumerate(op.num)]
             assert len(smith_invariants(mat_mul(kernel, shifted))) < len(kernel), \
                 (label, p, ap)
+
+
+def _random_unimodular(rng):
+    """A product of 1..6 factors S * T^k with |k| <= 20."""
+    m = MAT_ID
+    for _ in range(rng.randint(1, 6)):
+        m = mmul(m, MAT_S, mpow_t(rng.randint(-20, 20)))
+    return m
+
+
+class TestTranslate:
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_matches_search_over_j(self, q):
+        """The translate by one modular inverse equals the one found by trying
+        every j, on seeded matrices gamma * diag(1, q) * gamma' of
+        determinant q."""
+        rng = random.Random(q)
+        for _ in range(300):
+            h = mmul(_random_unimodular(rng), (1, 0, 0, q), _random_unimodular(rng))
+            assert det(h) == q
+            assert hecke._translate(h, q) == translate_by_search(h, q), h
 
 
 class TestRankZero:

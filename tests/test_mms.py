@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mixsym import dualpair
-from mixsym.mms import (InvalidInputError, boundary, build_space,
+from mixsym.mms import (InvalidInputError, _add_pair, boundary, build_space,
                         cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
                         homology_sublattice, kernel_pi_invariants,
@@ -20,7 +20,7 @@ from mixsym.mms import (InvalidInputError, boundary, build_space,
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul, mpow_t
 from mixsym.zlattice import quotient_by_rows
 
-from _reference import reduce_pair_matrix_walk
+from _reference import reduce_pair_matrix_walk, reduce_to_ambient_by_word
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
@@ -159,6 +159,26 @@ class TestReduce:
                                _long_t_word_matrix(rng, 10 * level))):
                     assert reduce_pair(sp, g, gp) == \
                         reduce_pair_matrix_walk(sp, g, gp), (level, g, gp)
+
+    @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 61)),
+                                               ("gamma1", range(2, 21))])
+    def test_fused_walk_matches_token_walk(self, family, levels):
+        """The one-loop walk adds the same {generator: coefficient} dict as
+        the token walk over the S/T word, zeros included, on short words and
+        on words with T-exponents up to 10 * N; adding it again scaled by -1
+        leaves every coefficient 0."""
+        for level in levels:
+            sp = _space(family, level)
+            rng = random.Random(level)
+            for _ in range(10):
+                for g, gp in ((_random_word_matrix(rng), _random_word_matrix(rng)),
+                              (_long_t_word_matrix(rng, 10 * level),
+                               _long_t_word_matrix(rng, 10 * level))):
+                    amb = {}
+                    _add_pair(sp, amb, g, gp)
+                    assert amb == reduce_to_ambient_by_word(sp, g, gp), (level, g, gp)
+                    _add_pair(sp, amb, g, gp, -1)
+                    assert not any(amb.values()), (level, g, gp)
 
 
 # SHA-256 of the reductions in test_reductions_pinned, recorded from the

@@ -1,9 +1,11 @@
 """Operator and pairing assembly against dense reduce_pair reference routes.
 
-The library builds operators on the free generators selected by ``lift`` and
-reads the pairing's corner symbols off ``project``.  The reference routes
-below evaluate every ambient generator and multiply by ``lift`` densely, or
-reduce every corner symbol with ``reduce_pair``; both must agree exactly.
+The library builds operators on the free generators selected by ``lift``,
+summing each row on the ambient generators before one projection, and reads
+the pairing's corner symbols off ``project``.  The reference routes below
+evaluate every ambient generator, project each image with the dense
+``project`` and multiply by ``lift`` densely, or reduce every corner symbol
+with ``reduce_pair``; both must agree exactly.
 The rational operators (T_2, U_q, W_N) sum scaled integer images over one
 denominator, and ``mat`` divides each entry by it on read; the dense route
 applies the same division to its product.
@@ -18,7 +20,8 @@ import pytest
 from mixsym import classical, dualpair, hecke, mms, zlattice
 from mixsym.mms import build_space, reduce_pair
 from mixsym.sl2 import MAT_S, MAT_T, MAT_TAU, GroupSpec, mmul
-from mixsym.zlattice import common_denominator, dense_rows, mat_mul, sparse_rows
+from mixsym.zlattice import (common_denominator, dense_rows, mat_mul, sparse_rows,
+                             vec_mat)
 
 from _reference import (atkin_lehner_fractions, hecke_composite_fractions,
                         hecke_rational_fractions, six_mat_dense)
@@ -34,8 +37,20 @@ def _space(family, level, _cache={}):
 
 
 def dense_operator(space, fn, denominator=1):
-    """lift * (fn of every ambient generator) / denominator, the pre-selection route."""
-    ambient = [fn(g, gp) for g, gp in hecke.generator_pairs(space)]
+    """lift * (fn of every ambient generator, projected) / denominator.
+
+    The pre-selection route: each generator's image is projected on its own,
+    as a dense ambient row times the dense ``project``.
+    """
+    project = dense_rows(space.quotient.project, space.rank)
+    ambient = []
+    for g, gp in hecke.generator_pairs(space):
+        amb = {}
+        fn(amb, g, gp)
+        row = [0] * (space.n_manin + space.n_cusp)
+        for k, x in amb.items():
+            row[k] += x
+        ambient.append(vec_mat(row, project))
     mat = mat_mul(space.quotient.lift, ambient)
     if denominator != 1:
         mat = [[Fraction(x, denominator) for x in row] for row in mat]

