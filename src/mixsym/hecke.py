@@ -81,19 +81,17 @@ def compose(a, b, name=None):
                           a.den * b.den)
 
 
-def generator_pairs(space):
-    """The defining symbol pair (g, g') of each ambient generator.
+def generator_pair(space, k):
+    """The defining symbol pair (g, g') of ambient generator k.
 
     Manin generators are {rep, rep*S}; the cusp generator of class c is
     {h, h*T} for h the representative of the first coset in c's T-orbit.
     """
-    pairs = []
-    for rep in space.cosets.reps:
-        pairs.append((rep, mmul(rep, MAT_S)))
-    for orbit in space.cusps.orbits:
-        h = space.cosets.reps[orbit[0]]
-        pairs.append((h, mmul(h, MAT_T)))
-    return pairs
+    if k < space.n_manin:
+        rep = space.cosets.reps[k]
+        return rep, mmul(rep, MAT_S)
+    h = space.cosets.reps[space.cusps.orbits[k - space.n_manin][0]]
+    return h, mmul(h, MAT_T)
 
 
 def operator_from_pair_map(space, fn, name, denominator=1):
@@ -106,7 +104,6 @@ def operator_from_pair_map(space, fn, name, denominator=1):
     per generator that occurs.  The rows are kept as ``num`` over
     ``den = denominator``; nothing is divided.
     """
-    pairs = generator_pairs(space)
     images = {}
     rows = []
     for lift_row in sparse_rows(space.quotient.lift):
@@ -115,7 +112,7 @@ def operator_from_pair_map(space, fn, name, denominator=1):
             image = images.get(k)
             if image is None:
                 image = images[k] = {}
-                fn(image, *pairs[k])
+                fn(image, *generator_pair(space, k))
             for i, x in image.items():
                 amb[i] = amb.get(i, 0) + c * x
         rows.append(_combine(space, amb))

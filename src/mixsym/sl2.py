@@ -30,13 +30,11 @@ def det(m):
     return m[0] * m[3] - m[1] * m[2]
 
 
-def mmul(*ms):
-    out = MAT_ID
-    for m in ms:
-        a, b, c, d = out
-        p, q, r, s = m
-        out = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-    return out
+def mmul(m, *ms):
+    a, b, c, d = m
+    for p, q, r, s in ms:
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return a, b, c, d
 
 
 def minv(m):

@@ -10,7 +10,7 @@ from math import gcd
 
 import mpmath
 
-from mixsym.hecke import diamond, generator_pairs, hecke_operator
+from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
 from mixsym.sl2 import (MAT_ID, MAT_S, InvalidSpecError, det, minv, mmul, mneg,
@@ -311,8 +311,8 @@ def _fraction_operator(space, fn):
     lift = space.quotient.lift
     used = {k for row in lift for k, c in enumerate(row) if c}
     zero = [Fraction(0)] * space.rank
-    return mat_mul(lift, [fn(*pair) if k in used else zero
-                          for k, pair in enumerate(generator_pairs(space))])
+    return mat_mul(lift, [fn(*generator_pair(space, k)) if k in used else zero
+                          for k in range(space.n_manin + space.n_cusp)])
 
 
 def hecke_rational_fractions(space, q):

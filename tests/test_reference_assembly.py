@@ -44,10 +44,11 @@ def dense_operator(space, fn, denominator=1):
     """
     project = dense_rows(space.quotient.project, space.rank)
     ambient = []
-    for g, gp in hecke.generator_pairs(space):
+    n = space.n_manin + space.n_cusp
+    for k in range(n):
         amb = {}
-        fn(amb, g, gp)
-        row = [0] * (space.n_manin + space.n_cusp)
+        fn(amb, *hecke.generator_pair(space, k))
+        row = [0] * n
         for k, x in amb.items():
             row[k] += x
         ambient.append(vec_mat(row, project))
