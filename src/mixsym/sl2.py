@@ -31,6 +31,7 @@ def det(m):
 
 
 def mmul(m, *ms):
+    """The product m * ms[0] * ms[1] * ... of 2x2 matrices, as a tuple."""
     a, b, c, d = m
     for p, q, r, s in ms:
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
@@ -45,10 +46,6 @@ def minv(m):
 
 def mneg(m):
     return (-m[0], -m[1], -m[2], -m[3])
-
-
-def mpow_t(n):
-    return (1, n, 0, 1)
 
 
 def conj_entries(m):

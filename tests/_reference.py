@@ -1,9 +1,9 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, the dense Smith normal form, the S/T word of a matrix
-with the two walks over it for reduce_pair, the coset translate found by
-search, the pairing's radical and its dense product, the Fraction routes for
-the rational and composite Hecke operators, and the mpc loop for the digamma
-series."""
+polynomial and rank, the dense Smith normal form, T^n and the S/T word of a
+matrix with the two walks over it for reduce_pair, the coset translate found
+by search, the pairing's radical and its dense product, the Fraction routes
+for the rational and composite Hecke operators, and the mpc loop for the
+digamma series."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,8 +13,7 @@ import mpmath
 from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
-from mixsym.sl2 import (MAT_ID, MAT_S, InvalidSpecError, det, minv, mmul, mneg,
-                        mpow_t)
+from mixsym.sl2 import MAT_ID, MAT_S, InvalidSpecError, det, minv, mmul, mneg
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
                              identity_matrix, kernel_basis, mat_copy, mat_mul,
                              mat_transpose, vec_mat)
@@ -163,6 +162,11 @@ def snf_dense(a):
             row_negate(t)
         t += 1
     return SmithDecomposition(u=u, d=d, v=v, vinv=vinv)
+
+
+def mpow_t(n):
+    """T^n."""
+    return (1, n, 0, 1)
 
 
 def stword_decompose(g):

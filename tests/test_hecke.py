@@ -10,11 +10,11 @@ import pytest
 
 from mixsym import classical, hecke
 from mixsym.mms import InvalidInputError, build_space, kernel_of_boundary
-from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul, mpow_t
+from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul
 from mixsym.zlattice import (kernel_basis, mat_mul, smith_invariants, solve_rational,
                              vec_mat)
 
-from _reference import charpoly, hecke_rational_fractions, translate_by_search
+from _reference import charpoly, hecke_rational_fractions, mpow_t, translate_by_search
 
 
 def _space(family, level, _cache={}):

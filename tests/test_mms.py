@@ -17,10 +17,10 @@ from mixsym.mms import (InvalidInputError, _add_pair, boundary, build_space,
                         manin_index, pi_classical, reduce_pair,
                         reduce_pair_rational, reduce_pair_scaled,
                         space_from_dict, space_to_dict)
-from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul, mpow_t
+from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul
 from mixsym.zlattice import quotient_by_rows
 
-from _reference import reduce_pair_matrix_walk, reduce_to_ambient_by_word
+from _reference import mpow_t, reduce_pair_matrix_walk, reduce_to_ambient_by_word
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
