@@ -279,6 +279,9 @@ class TestRankZero:
 # symbols were reduced by one walk summed on the ambient generators
 HECKE_DIGEST = "53c0601e630e74684dbfbd763bae4fb449a4d37499a3a0219c2637dfc6a6d12b"
 INVOLUTIONS_DIGEST = "555a8e3181a9e74305ac288f52ae70de1235ff52aedee1ad6142f00ab7efc792"
+# SHA-256 of classical.hecke_matrix, recorded while the diamond twist of its
+# last coset representative still branched on the family
+CLASSICAL_HECKE_DIGEST = "831c0eb2ea8926b6f7dfdf0700b7cbc743b1cbd3c90fb1fe47b60ccd85b7de58"
 
 
 class TestOperatorsPinned:
@@ -306,3 +309,15 @@ class TestOperatorsPinned:
                 for op in ops:
                     h.update(repr((family, level, op.name, op.num, op.den)).encode())
         assert h.hexdigest() == INVOLUTIONS_DIGEST
+
+    def test_classical_hecke_pinned(self):
+        """Classical T_q and U_q for q in 2, 3, 5, 7 on Gamma0(1..60) and
+        Gamma1(1..20)."""
+        h = hashlib.sha256()
+        for family, levels in (("gamma0", range(1, 61)), ("gamma1", range(1, 21))):
+            for level in levels:
+                sp = _space(family, level)
+                for q in (2, 3, 5, 7):
+                    h.update(repr((family, level, q,
+                                   classical.hecke_matrix(sp, q))).encode())
+        assert h.hexdigest() == CLASSICAL_HECKE_DIGEST

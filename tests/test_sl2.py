@@ -1,5 +1,6 @@
 """Coset, cusp, and word combinatorics in SL2(Z)."""
 
+import hashlib
 import random
 from functools import lru_cache
 from math import gcd
@@ -188,6 +189,20 @@ class TestCosetTable:
                     assert label is not None
                 else:
                     assert label is None
+
+
+# SHA-256 of the coset tables of WITNESS_LEVELS: reps, index_of and the
+# S, T, U actions, recorded while GroupSpec still branched on its family
+COSET_TABLES_DIGEST = "f93c2b4f99aaa893395daee00c885d93ea4562ec2ae180626557b134c6b28a2e"
+
+
+def test_coset_tables_pinned():
+    h = hashlib.sha256()
+    for family, level in WITNESS_LEVELS:
+        t = _table(family, level)
+        h.update(repr((family, level, t.reps, t.index_of,
+                       [t.action[k] for k in "STU"])).encode())
+    assert h.hexdigest() == COSET_TABLES_DIGEST
 
 
 class TestCusps:
