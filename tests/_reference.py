@@ -1,9 +1,9 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, the dense Smith normal form, T^n and the S/T word of a
-matrix with the two walks over it for reduce_pair, the coset translate found
-by search, the pairing's radical and its dense product, the Fraction routes
-for the rational and composite Hecke operators, and the mpc loop for the
-digamma series."""
+polynomial and rank, the dense Smith normal form, membership by family,
+T^n and the S/T word of a matrix with the two walks over it for
+reduce_pair, the coset translate found by search, the pairing's radical and
+its dense product, the Fraction routes for the rational and composite Hecke
+operators, and the mpc loop for the digamma series."""
 
 from fractions import Fraction
 from math import gcd
@@ -162,6 +162,26 @@ def snf_dense(a):
             row_negate(t)
         t += 1
     return SmithDecomposition(u=u, d=d, v=v, vinv=vinv)
+
+
+def contains_by_family(spec, m):
+    """``GroupSpec.contains`` by one rule per family, up to sign for gamma1.
+
+    Every determinant-1 matrix lies in the full group and at level 1; Gamma0(N)
+    asks c = 0 mod N; Gamma1(N) asks that as well as a = d = 1 or
+    a = d = -1 mod N.
+    """
+    if det(m) != 1:
+        return False
+    if spec.family == "full" or spec.level == 1:
+        return True
+    a, b, c, d = m
+    n = spec.level
+    if c % n != 0:
+        return False
+    if spec.family == "gamma0":
+        return True
+    return (a % n == 1 and d % n == 1) or (a % n == n - 1 and d % n == n - 1)
 
 
 def mpow_t(n):

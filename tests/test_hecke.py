@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from mixsym import classical, hecke
-from mixsym.mms import InvalidInputError, build_space, kernel_of_boundary
+from mixsym.mms import InvalidInputError, build_space, kernel_of_boundary, space_to_dict
 from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul
 from mixsym.zlattice import (kernel_basis, mat_mul, smith_invariants, solve_rational,
                              vec_mat)
@@ -208,6 +208,28 @@ class TestAgainstClassicalRoute:
                 scale = 1 if p == q else q + 1
                 assert mat_mul(cs, op.mat) == \
                     [[scale * x for x in row] for row in cs]
+
+
+class TestGamma0IsGamma1WhereTheUnitsAreSigns:
+    """(Z/N)^x = {+-1} for N in 1, 2, 3, 4, 6, so Gamma0(N) and Gamma1(N) are
+    one group in PSL2(Z) and every family-free output must agree."""
+
+    LEVELS = (1, 2, 3, 4, 6)
+
+    def test_documents_agree_but_for_the_family(self):
+        for level in self.LEVELS:
+            docs = [space_to_dict(_space(family, level)) for family in ("gamma0", "gamma1")]
+            for doc in docs:
+                del doc["family"]
+            assert docs[0] == docs[1]
+
+    def test_hecke_matrices_agree(self):
+        for level in self.LEVELS:
+            g0, g1 = _space("gamma0", level), _space("gamma1", level)
+            for q in (2, 3, 5, 7):
+                a, b = hecke.hecke_operator(g0, q), hecke.hecke_operator(g1, q)
+                assert (a.name, a.num, a.den) == (b.name, b.num, b.den)
+                assert classical.hecke_matrix(g0, q) == classical.hecke_matrix(g1, q)
 
 
 # Cremona's models [a1, a2, a3, a4, a6] of an optimal curve at each level

@@ -12,7 +12,7 @@ from mixsym.sl2 import (MAX_COSET_TABLE, GroupSpec, InvalidSpecError, MAT_ID,
                         gamma0_with_lower_right, genus, gcdex,
                         minus_id_in_group, minv, mmul, mneg)
 
-from _reference import stword_decompose, word_to_matrix
+from _reference import contains_by_family, mpow_t, stword_decompose, word_to_matrix
 
 
 def random_unimodular(rng, length=12):
@@ -65,10 +65,49 @@ class TestGroupSpec:
         assert g1.contains((-1, 3, 5, -16))  # -Id twist allowed in PSL2
         assert not g1.contains((2, 1, 5, 3))
 
+    def test_membership_matches_family_rule(self):
+        """contains agrees with the rule per family on members and non-members."""
+        rng = random.Random(14)
+        specs = [GroupSpec("full")] + [GroupSpec(family, level)
+                                       for family in ("gamma0", "gamma1")
+                                       for level in range(1, 61)]
+        members = total = 0
+        for spec in specs:
+            for m in _membership_candidates(rng, spec.level, 400):
+                expected = contains_by_family(spec, m)
+                assert spec.contains(m) == expected, (spec, m)
+                members += expected
+                total += 1
+        assert total == 48_400 and 0.1 < members / total < 0.3
+
     def test_minus_id(self):
         assert minus_id_in_group(GroupSpec("gamma0", 11))
         assert minus_id_in_group(GroupSpec("gamma1", 2))
         assert not minus_id_in_group(GroupSpec("gamma1", 5))
+
+
+def _membership_candidates(rng, n, count):
+    """Seeded matrices for a level-n membership test.
+
+    Two fifths are random unimodular; the rest are products
+    T^a * gamma * ((1, 0), (n*b, 1)) * T^e, gamma in Gamma0(n) with
+    lower-right entry +-1 or a random unit mod n, of either sign, two thirds
+    of them then moved off Gamma0(n) or off determinant 1 by one entry.
+    """
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    for _ in range(count):
+        if rng.random() < 0.4:
+            yield random_unimodular(rng)
+            continue
+        d = rng.choice((1, n - 1)) if rng.random() < 0.5 else rng.choice(units)
+        m = mmul(mpow_t(rng.randint(-9, 9)), gamma0_with_lower_right(n, d),
+                 (1, 0, n * rng.randint(-3, 3), 1), mpow_t(rng.randint(-9, 9)))
+        if rng.random() < 0.5:
+            m = mneg(m)
+        if rng.random() < 2 / 3:
+            k = rng.randrange(4)
+            m = m[:k] + (m[k] + rng.choice((-1, 1)),) + m[k + 1:]
+        yield m
 
 
 INDEX_TABLE = {("gamma0", 5): 6, ("gamma0", 7): 8, ("gamma0", 9): 12,
