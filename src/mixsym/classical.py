@@ -107,21 +107,11 @@ def _apply_mats(space, mats):
     return rows
 
 
-def _diamond_rep(space, d):
-    if space.spec.family != "gamma1" or space.spec.level == 1:
-        return MAT_ID
-    return gamma0_with_lower_right(space.spec.level, d)
-
-
 def hecke_matrix(space, q):
     """Classical T_q / U_q on the companion presentation via cusp pairs."""
     n = space.spec.level
-    if n % q == 0:
-        mats = [(1, i, 0, q) for i in range(q)]
-    else:
-        if q % 2:
-            mats = [(1, i, 0, q) for i in range(-(q - 1) // 2, (q - 1) // 2 + 1)]
-        else:
-            mats = [(1, 0, 0, 2), (1, 1, 0, 2)]
-        mats.append(mmul(_diamond_rep(space, q), (q, 0, 0, 1)))
+    low = -(q - 1) // 2 if q % 2 and n % q else 0
+    mats = [(1, i, 0, q) for i in range(low, low + q)]
+    if n % q:
+        mats.append(mmul(gamma0_with_lower_right(n, q), (q, 0, 0, 1)))
     return _apply_mats(space, mats)

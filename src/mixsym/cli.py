@@ -62,9 +62,7 @@ class Reporter:
 
 def _spaces(family, levels):
     for lvl in levels:
-        spec = GroupSpec("full", 1) if family == "gamma0" and lvl == 1 \
-            else GroupSpec(family, lvl)
-        yield lvl, build_space(spec)
+        yield lvl, build_space(GroupSpec(family, lvl))
 
 
 def suite_rank(rep, family, spaces, **_):

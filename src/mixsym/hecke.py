@@ -15,7 +15,7 @@ over q + 1 representatives m (q of them for U_q, where q divides N):
   m = ((1,i),(0,q)), i in -(q-1)/2 .. (q-1)/2 for odd q not dividing N
                      and in 0 .. q-1 otherwise;
   m = gamma*diag(q,1) when q does not divide N, gamma in Gamma0(N) with
-      lower-right entry q mod N (the identity on Gamma0).
+      lower-right entry q mod N (in Gamma when q lies in +-H, as on Gamma0).
 
 The last representative carries the diamond twist <q>, so no <q> matrix
 is built.  For odd q not dividing N each m*g splits as t*((1,j),(0,q)) or
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .sl2 import (MAT_ID, MAT_S, MAT_T, conj_entries, gamma0_with_lower_right,
-                  gcdex, mmul)
+from .sl2 import MAT_S, MAT_T, conj_entries, gamma0_with_lower_right, mmul
 from .mms import InvalidInputError, _add_pair, _add_scaled, _combine
 from .zlattice import factor, identity_matrix, mat_mul, sparse_rows
 
@@ -128,11 +127,11 @@ def complex_conjugation(space):
 
 
 def diamond(space, d):
-    """The diamond operator <d>; the identity for Gamma0 and level 1."""
+    """The diamond operator <d>; the identity when d mod N lies in +-H."""
     n = space.spec.level
-    if gcdex(d, n)[2] != 1:
+    if gcd(d, n) != 1:
         raise InvalidInputError("diamond requires gcd(d, level) = 1")
-    if space.spec.family != "gamma1" or n == 1:
+    if d % n in space.spec.units:
         return identity_operator(space, f"diamond({d})")
     gamma = gamma0_with_lower_right(n, d)
     return operator_from_pair_map(
@@ -148,8 +147,7 @@ def _coset_reps(space, q):
     reps = [(1, i, 0, q) for i in range(low, low + q)]
     if n % q == 0:
         return reps
-    gamma = gamma0_with_lower_right(n, q) if space.spec.family == "gamma1" else MAT_ID
-    return reps + [mmul(gamma, (q, 0, 0, 1))]
+    return reps + [mmul(gamma0_with_lower_right(n, q), (q, 0, 0, 1))]
 
 
 def _translate(h, q):

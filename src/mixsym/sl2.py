@@ -1,4 +1,4 @@
-"""Coset and cusp combinatorics for Gamma0(N) and Gamma1(N) inside SL2(Z).
+"""Coset and cusp combinatorics for congruence subgroups of SL2(Z).
 
 Matrices are 4-tuples (a, b, c, d) of integers with determinant 1.  All coset
 bookkeeping is done in PSL2(Z): a group element and its negative label the
@@ -8,6 +8,7 @@ invariant under sign changes of its entries.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 MAT_ID = (1, 0, 0, 1)
@@ -77,7 +78,11 @@ def gamma0_with_lower_right(n, d):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A congruence group: Gamma0(N), Gamma1(N), or all of SL2(Z)."""
+    """A congruence group: Gamma0(N), Gamma1(N), or all of SL2(Z).
+
+    Cosets, membership and the diamond twist read only the level N and
+    ``units``.
+    """
 
     family: str  # "gamma0" | "gamma1" | "full"
     level: int = 1
@@ -90,29 +95,30 @@ class GroupSpec:
         if self.family == "full" and self.level != 1:
             raise InvalidSpecError("the full group has level 1")
 
-    def contains(self, m):
-        """Membership of a determinant-1 matrix, up to sign for gamma1."""
-        if det(m) != 1:
-            return False
-        if self.family == "full" or self.level == 1:
-            return True
-        a, b, c, d = m
+    @cached_property
+    def units(self):
+        """+-H: the lower-right entries mod N of the group's matrices, up to sign.
+
+        Every unit mod N for gamma0 and full, and {1, -1 mod N} for gamma1.
+        """
         n = self.level
-        if c % n != 0:
-            return False
-        if self.family == "gamma0":
-            return True
-        return (a % n == 1 and d % n == 1) or (a % n == n - 1 and d % n == n - 1)
+        if self.family == "gamma1":
+            return frozenset((1 % n, -1 % n))
+        return frozenset(u % n for u in range(1, n + 1) if gcd(u, n) == 1)
+
+    def contains(self, m):
+        """Membership of a matrix, up to sign: det 1, c = 0 and d in +-H mod N.
+
+        The upper-left entry needs no test: a*d = 1 mod N when c = 0 mod N.
+        """
+        n = self.level
+        return det(m) == 1 and m[2] % n == 0 and m[3] % n in self.units
 
     def label(self):
         if self.family == "full":
             return "SL2(Z)"
         name = "Gamma0" if self.family == "gamma0" else "Gamma1"
         return f"{name}({self.level})"
-
-
-def _units(n):
-    return [u for u in range(1, n + 1) if gcd(u, n) == 1] if n > 1 else [1]
 
 
 def _lift_bottom_row(n, c, d):
@@ -177,8 +183,8 @@ def enumerate_cosets(spec):
     """Deterministic coset table for Gamma\\SL2(Z), sorted by coset label.
 
     A coset is labelled by the lexicographically least element of the orbit
-    of its bottom row (c, d) mod N under the units: all of them for gamma0,
-    +-1 for gamma1.  Walking the pairs in lexicographic order meets each
+    of its bottom row (c, d) mod N under ``spec.units``, the group +-H of
+    lower-right entries of Gamma up to sign.  Walking the pairs in lexicographic order meets each
     orbit first at its label, so one pass numbers the cosets in label order
     and fills ``index_of`` on the whole orbit (the P^1(Z/N) table of
     Cremona, Algorithms for Modular Elliptic Curves, section 2.2).
@@ -188,7 +194,7 @@ def enumerate_cosets(spec):
     if n * n > MAX_COSET_TABLE:
         raise InvalidSpecError(f"level {n}: the coset table needs N^2 = {n * n} "
                                f"entries, more than the limit of {MAX_COSET_TABLE}")
-    units = (1, n - 1) if spec.family == "gamma1" else _units(n)
+    units = spec.units
     index_of = [None] * (n * n)
     reps = []
     for c in range(n):
