@@ -1,4 +1,4 @@
-"""Coset and cusp combinatorics for congruence subgroups of SL2(Z).
+"""Coset and cusp combinatorics for Gamma0(N) and Gamma1(N) inside SL2(Z).
 
 Matrices are 4-tuples (a, b, c, d) of integers with determinant 1.  All coset
 bookkeeping is done in PSL2(Z): a group element and its negative label the
@@ -184,10 +184,11 @@ def enumerate_cosets(spec):
 
     A coset is labelled by the lexicographically least element of the orbit
     of its bottom row (c, d) mod N under ``spec.units``, the group +-H of
-    lower-right entries of Gamma up to sign.  Walking the pairs in lexicographic order meets each
-    orbit first at its label, so one pass numbers the cosets in label order
-    and fills ``index_of`` on the whole orbit (the P^1(Z/N) table of
-    Cremona, Algorithms for Modular Elliptic Curves, section 2.2).
+    lower-right entries of Gamma up to sign.  Walking the pairs in
+    lexicographic order meets each orbit first at its label, so one pass
+    numbers the cosets in label order and fills ``index_of`` on the whole
+    orbit (the P^1(Z/N) table of Cremona, Algorithms for Modular Elliptic
+    Curves, section 2.2).
     Raises InvalidSpecError when N^2 exceeds ``MAX_COSET_TABLE``.
     """
     n = spec.level
