@@ -9,7 +9,6 @@ action.
 from fractions import Fraction
 
 from .sl2 import MAT_ID, gamma0_with_lower_right, gcdex, mmul
-from .zlattice import mat_mul
 
 INFINITY = None
 
@@ -80,24 +79,24 @@ def _manin_row(space, g):
 
 def boundary_matrix(space):
     """Boundary of the classical presentation, basis x cusp classes."""
-    ambient = []
-    for rep in space.cosets.reps:
-        row = [0] * space.cusps.count
-        row[cusp_class_of_point(space, act_point(rep, INFINITY))] += 1
-        row[cusp_class_of_point(space, act_point(rep, Fraction(0)))] -= 1
-        ambient.append(row)
-    return mat_mul(space.classical.lift, ambient)
+    rows = []
+    for lift_row in space.classical.lift:
+        out = [0] * space.cusps.count
+        for i, coeff in lift_row:
+            rep = space.cosets.reps[i]
+            out[cusp_class_of_point(space, act_point(rep, INFINITY))] += coeff
+            out[cusp_class_of_point(space, act_point(rep, Fraction(0)))] -= coeff
+        rows.append(out)
+    return rows
 
 
 def _apply_mats(space, mats):
     """Matrix of x -> sum over m in mats of {m*alpha, m*beta} on the basis."""
     n_cl = space.classical.rank
     rows = []
-    for j in range(n_cl):
+    for lift_row in space.classical.lift:
         out = [0] * n_cl
-        for i, coeff in enumerate(space.classical.lift[j]):
-            if not coeff:
-                continue
+        for i, coeff in lift_row:
             g = space.cosets.reps[i]
             alpha, beta = act_point(g, Fraction(0)), act_point(g, INFINITY)
             for m in mats:

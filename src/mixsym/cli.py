@@ -265,6 +265,9 @@ def run_import(args):
     except OSError as e:
         print(f"error: cannot read {args.path}: {e}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print(f"error: {args.path}: document nested too deeply", file=sys.stderr)
+        return 2
     try:
         space = space_from_dict(doc)
     except DocumentMismatchError as e:

@@ -40,7 +40,7 @@ from math import gcd
 
 from .sl2 import MAT_S, MAT_T, conj_entries, gamma0_with_lower_right, mmul
 from .mms import InvalidInputError, _add_pair, _add_scaled, _combine
-from .zlattice import factor, identity_matrix, mat_mul, sparse_rows
+from .zlattice import factor, identity_matrix, mat_mul
 
 
 @dataclass
@@ -105,7 +105,7 @@ def operator_from_pair_map(space, fn, name, denominator=1):
     """
     images = {}
     rows = []
-    for lift_row in sparse_rows(space.quotient.lift):
+    for lift_row in space.quotient.lift:
         amb = {}
         for k, c in lift_row:
             image = images.get(k)

@@ -22,8 +22,8 @@ from math import gcd
 from . import sl2
 from .sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul, mneg
 from .zlattice import (QuotientLattice, dense_rows, identity_matrix, kernel_basis,
-                       mat_mul, quotient_by_rows, smith_invariants, sparse_rows,
-                       sublattice_index, vec_mat, vec_mat_sparse)
+                       quotient_by_rows, smith_invariants, sublattice_index, vec_mat,
+                       vec_mat_sparse)
 
 
 class PresentationError(Exception):
@@ -46,8 +46,10 @@ class SymbolSpace:
     by cusp generators (one per cusp class).  ``quotient`` presents the
     torsion-free quotient by (R1)-(R3); ``classical`` presents the classical
     modular-symbol space on the coset generators alone, by the Manin block of
-    (R1) and (R2) (relations x + xS and x + xU + xU^2).  ``pi_basis`` and
-    ``boundary_basis`` act on basis row vectors by right multiplication.
+    (R1) and (R2) (relations x + xS and x + xU + xU^2).  Both hold their
+    sections ``project`` and ``lift`` as sparse rows.  ``pi_basis`` and
+    ``boundary_basis`` are dense, read off the rows of ``quotient.lift``, and
+    act on basis row vectors by right multiplication.
     """
 
     spec: GroupSpec
@@ -84,29 +86,27 @@ class SymbolSpace:
         return [self.cusp_gen(c) for c in range(self.n_cusp)]
 
 
+def _sparse_row(terms):
+    """The sum of the (column, value) ``terms`` as a sparse row: repeated
+    columns merged, zeros dropped, in column order."""
+    row = {}
+    for j, x in terms:
+        row[j] = row.get(j, 0) + x
+    return tuple(sorted((j, x) for j, x in row.items() if x))
+
+
 def _assemble_relations(cosets, cusps):
+    """(R1), (R2) at each coset, then (R3), as sparse rows over the generators."""
     n_manin = cosets.index
-    n_cusp = cusps.count
-    n = n_manin + n_cusp
-    rows = []
+    cusp_of = cusps.cusp_of
+    rows = [_sparse_row([(i, 1), (cosets.act(i, "S"), 1)]) for i in range(n_manin)]
     for i in range(n_manin):
-        row = [0] * n
-        row[i] += 1
-        row[cosets.act(i, "S")] += 1
-        rows.append(row)
-    for i in range(n_manin):
-        row = [0] * n
         j = cosets.act(i, "U")
         k = cosets.act(j, "U")
-        for m in (i, j, k):
-            row[m] += 1
-            row[n_manin + cusps.cusp_of[m]] -= 1
-        rows.append(row)
+        rows.append(_sparse_row([t for m in (i, j, k)
+                                 for t in ((m, 1), (n_manin + cusp_of[m], -1))]))
     d = cusps.gcd_of_widths
-    row = [0] * n
-    for c, w in enumerate(cusps.widths):
-        row[n_manin + c] = w // d
-    rows.append(row)
+    rows.append(tuple((n_manin + c, w // d) for c, w in enumerate(cusps.widths)))
     return rows
 
 
@@ -125,21 +125,17 @@ def build_space(spec):
             f"{spec.label()}: presented rank {quotient.rank}, expected {expected}")
 
     # (R1) and (R2) read on the Manin generators alone are the classical relations
-    classical = quotient_by_rows([row[:n_manin] for row in relations[:2 * n_manin]],
-                                 n_manin)
+    classical = quotient_by_rows(
+        [tuple((j, x) for j, x in row if j < n_manin) for row in relations[:2 * n_manin]],
+        n_manin)
 
-    # the cusp generators map to 0 under pi
-    pi_basis = [vec_mat_sparse(row, classical.project, classical.rank)
-                for row in sparse_rows([row[:n_manin] for row in quotient.lift])]
-
-    boundary_ambient = []
-    for i in range(n_manin):
-        row = [0] * n_cusp
-        row[cusps.cusp_of[cosets.act(i, "S")]] += 1
-        row[cusps.cusp_of[i]] -= 1
-        boundary_ambient.append(row)
-    boundary_ambient += [[0] * n_cusp for _ in range(n_cusp)]
-    boundary_basis = mat_mul(quotient.lift, boundary_ambient)
+    # pi sends the cusp generators to 0; Manin generator k has boundary
+    # [c(kS)] - [c(k)] and a cusp generator has none
+    pi_rows = classical.project + [()] * n_cusp
+    pi_basis = [vec_mat_sparse(row, pi_rows, classical.rank) for row in quotient.lift]
+    boundary_rows = [((cusps.cusp_of[cosets.act(k, "S")], 1), (cusps.cusp_of[k], -1))
+                     for k in range(n_manin)] + [()] * n_cusp
+    boundary_basis = [vec_mat_sparse(row, boundary_rows, n_cusp) for row in quotient.lift]
 
     return SymbolSpace(spec, cosets, cusps, quotient, classical,
                        pi_basis, boundary_basis, g)
@@ -395,7 +391,8 @@ def space_to_dict(space):
         "cusps": cusp_records,
         "basis_rank": str(space.rank),
         "project": [srow(r) for r in dense_rows(space.quotient.project, space.rank)],
-        "lift": [srow(r) for r in space.quotient.lift],
+        "lift": [srow(r) for r in dense_rows(space.quotient.lift,
+                                             space.n_manin + space.n_cusp)],
         "pi": [srow(r) for r in space.pi_basis],
         "boundary": [srow(r) for r in space.boundary_basis],
         "torsion": [str(x) for x in space.quotient.torsion],

@@ -327,14 +327,14 @@ def smith_invariants(a):
 
 @dataclass
 class QuotientLattice:
-    """Largest torsion-free quotient of Z^n by the row span of a relation matrix.
+    """Largest torsion-free quotient of Z^n by the span of a list of relations.
 
     ``project`` (n x rank) sends an ambient row vector to its coordinates in
-    the quotient basis; it is stored as sparse rows, each a tuple of the
+    the quotient basis, and ``lift`` (rank x n) is a section, so
+    ``lift * project = identity`` and the relations map to 0 under
+    ``project``.  Both are stored as sparse rows, each a tuple of the
     non-zero (column, value) pairs in column order (``dense_rows`` gives the
-    matrix).  ``lift`` (rank x n, dense) is a section, so
-    ``lift * project = identity`` and the relations map to 0 under ``project``.
-    ``torsion`` lists the invariant factors > 1 of the full quotient
+    matrix).  ``torsion`` lists the invariant factors > 1 of the full quotient
     (the part discarded when passing to the torsion-free quotient).
     """
 
@@ -345,18 +345,16 @@ class QuotientLattice:
 
 
 def quotient_by_rows(relations, ambient_rank):
-    """Torsion-free quotient of Z^ambient_rank by the rows of ``relations``.
+    """Torsion-free quotient of Z^ambient_rank by the span of ``relations``.
 
-    With relations = u * d * v in Smith form and r non-zero invariants,
-    ``project`` is the last n - r columns of v^-1 and ``lift`` the last
-    n - r rows of v, both read off the sparse elimination.
+    Each relation is a sparse row, an iterable of (column, value) pairs with
+    columns in ``range(ambient_rank)``; a column outside it raises
+    LatticeError.  With relations = u * d * v in Smith form and r non-zero
+    invariants, ``project`` is the last n - r columns of v^-1 and ``lift``
+    the last n - r rows of v, both read off the sparse elimination.
     """
-    if relations and any(len(row) != ambient_rank for row in relations):
-        raise LatticeError("relation rows must have length ambient_rank")
-    if not relations:
-        eye = identity_matrix(ambient_rank)
-        return QuotientLattice(ambient_rank, sparse_rows(eye), eye)
-    relations = sparse_rows(relations)
+    if any(not 0 <= j < ambient_rank for row in relations for j, _ in row):
+        raise LatticeError("relation columns must lie in range(ambient_rank)")
     _, d, v, vinv = _snf_sparse(relations, ambient_rank)
     invariants = [d[i][i] for i in range(min(len(d), ambient_rank)) if d[i].get(i)]
     r = len(invariants)
@@ -366,10 +364,9 @@ def quotient_by_rows(relations, ambient_rank):
         for i, x in vinv[j].items():
             project[i].append((j - r, x))
     project = [tuple(row) for row in project]
-    lift = dense_rows([v[j].items() for j in range(r, ambient_rank)], ambient_rank)
+    lift = [tuple(sorted(v[j].items())) for j in range(r, ambient_rank)]
     torsion = [x for x in invariants if x not in (1, -1)]
-    assert [vec_mat_sparse(row, project, rank) for row in sparse_rows(lift)] \
-        == identity_matrix(rank)
+    assert [vec_mat_sparse(row, project, rank) for row in lift] == identity_matrix(rank)
     assert not any(any(vec_mat_sparse(row, project, rank)) for row in relations)
     return QuotientLattice(rank, project, lift, torsion)
 

@@ -1,5 +1,6 @@
 """Routines used only by the tests: exact determinant, characteristic
-polynomial and rank, the dense Smith normal form, membership by family,
+polynomial and rank, the dense Smith normal form, the dense relation
+matrix of the presentation, membership by family,
 T^n and the S/T word of a matrix with the two walks over it for
 reduce_pair, the coset translate found by search, the pairing's radical and
 its dense product, the Fraction routes for the rational and composite Hecke
@@ -162,6 +163,33 @@ def snf_dense(a):
             row_negate(t)
         t += 1
     return SmithDecomposition(u=u, d=d, v=v, vinv=vinv)
+
+
+def assemble_relations_dense(cosets, cusps):
+    """The rows of (R1), (R2) and (R3) as one dense matrix over the generators."""
+    n_manin = cosets.index
+    n_cusp = cusps.count
+    n = n_manin + n_cusp
+    rows = []
+    for i in range(n_manin):
+        row = [0] * n
+        row[i] += 1
+        row[cosets.act(i, "S")] += 1
+        rows.append(row)
+    for i in range(n_manin):
+        row = [0] * n
+        j = cosets.act(i, "U")
+        k = cosets.act(j, "U")
+        for m in (i, j, k):
+            row[m] += 1
+            row[n_manin + cusps.cusp_of[m]] -= 1
+        rows.append(row)
+    d = cusps.gcd_of_widths
+    row = [0] * n
+    for c, w in enumerate(cusps.widths):
+        row[n_manin + c] = w // d
+    rows.append(row)
+    return rows
 
 
 def contains_by_family(spec, m):
@@ -332,11 +360,12 @@ def _fraction_operator(space, fn):
 
     fn runs only on the generators that ``lift`` uses; the others are zero.
     """
-    lift = space.quotient.lift
+    n = space.n_manin + space.n_cusp
+    lift = dense_rows(space.quotient.lift, n)
     used = {k for row in lift for k, c in enumerate(row) if c}
     zero = [Fraction(0)] * space.rank
     return mat_mul(lift, [fn(*generator_pair(space, k)) if k in used else zero
-                          for k in range(space.n_manin + space.n_cusp)])
+                          for k in range(n)])
 
 
 def hecke_rational_fractions(space, q):

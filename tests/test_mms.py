@@ -10,17 +10,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mixsym import dualpair
-from mixsym.mms import (InvalidInputError, _add_pair, boundary, build_space,
-                        cusp_cokernel_invariants, expected_homology_index,
+from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, boundary,
+                        build_space, cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
                         homology_sublattice, kernel_pi_invariants,
                         manin_index, pi_classical, reduce_pair,
                         reduce_pair_rational, reduce_pair_scaled,
                         space_from_dict, space_to_dict)
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul
-from mixsym.zlattice import quotient_by_rows
+from mixsym.zlattice import dense_rows, quotient_by_rows, sparse_rows
 
-from _reference import mpow_t, reduce_pair_matrix_walk, reduce_to_ambient_by_word
+from _reference import (assemble_relations_dense, mpow_t, reduce_pair_matrix_walk,
+                        reduce_to_ambient_by_word)
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
@@ -50,6 +51,25 @@ class TestBuild:
             assert any(sp.cusp_gen(c))
 
 
+class TestRelations:
+    @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 61)),
+                                               ("gamma1", range(1, 21))])
+    def test_match_dense_assembly(self, family, levels):
+        """The sparse relations are the dense matrix's rows, in canonical form:
+        columns strictly increasing, no zero value, and at most six entries
+        in each (R1) and (R2) row."""
+        for level in levels:
+            sp = _space(family, level)
+            relations = _assemble_relations(sp.cosets, sp.cusps)
+            assert dense_rows(relations, sp.n_manin + sp.n_cusp) == \
+                assemble_relations_dense(sp.cosets, sp.cusps), level
+            for row in relations:
+                columns = [j for j, _ in row]
+                assert columns == sorted(set(columns)), (level, row)
+                assert all(x for _, x in row), (level, row)
+            assert all(len(row) <= 6 for row in relations[:2 * sp.n_manin]), level
+
+
 def _classical_relations(cosets):
     """x + xS and x + xU + xU^2 on the coset generators, assembled directly."""
     n = cosets.index
@@ -75,7 +95,8 @@ class TestClassicalPresentation:
     def test_matches_direct_relations(self, family, levels):
         for level in levels:
             sp = _space(family, level)
-            ref = quotient_by_rows(_classical_relations(sp.cosets), sp.n_manin)
+            relations = sparse_rows(_classical_relations(sp.cosets))
+            ref = quotient_by_rows(relations, sp.n_manin)
             got = sp.classical
             assert (got.rank, got.project, got.lift, got.torsion) == \
                 (ref.rank, ref.project, ref.lift, ref.torsion), level

@@ -1,11 +1,12 @@
 """Operator and pairing assembly against dense reduce_pair reference routes.
 
-The library builds operators on the free generators selected by ``lift``,
-summing each row on the ambient generators before one projection, and reads
-the pairing's corner symbols off ``project``.  The reference routes below
-evaluate every ambient generator, project each image with the dense
-``project`` and multiply by ``lift`` densely, or reduce every corner symbol
-with ``reduce_pair``; both must agree exactly.
+The library builds operators on the free generators that the sparse rows
+of ``lift`` use, summing each row on the ambient generators before one
+projection, and reads the pairing's corner symbols off the sparse
+``project``.  The reference routes below evaluate every ambient generator,
+project each image with ``project`` made dense and multiply by ``lift`` made
+dense, or reduce every corner symbol with ``reduce_pair``; both must agree
+exactly.  The build and the readers of both sections never make them dense.
 The rational operators (T_2, U_q, W_N) sum scaled integer images over one
 denominator, and ``mat`` divides each entry by it on read; the dense route
 applies the same division to its product.
@@ -52,7 +53,7 @@ def dense_operator(space, fn, denominator=1):
         for k, x in amb.items():
             row[k] += x
         ambient.append(vec_mat(row, project))
-    mat = mat_mul(space.quotient.lift, ambient)
+    mat = mat_mul(dense_rows(space.quotient.lift, n), ambient)
     if denominator != 1:
         mat = [[Fraction(x, denominator) for x in row] for row in mat]
     return mat
@@ -112,14 +113,15 @@ def test_assembly_does_not_assume_a_selection(recorded, family, level):
     assert sp.rank >= 2
     # new basis: lift' = U * lift, project' = project * U^-1, U = I - 2 E_10,
     # so row 1 of lift' has a coefficient -2
-    lift = [list(row) for row in q.lift]
+    n = sp.n_manin + sp.n_cusp
+    lift = dense_rows(q.lift, n)
     lift[1] = [x - 2 * y for x, y in zip(lift[1], lift[0])]
     dense = dense_rows(q.project, q.rank)
     project = [[row[0] + 2 * row[1]] + list(row[1:]) for row in dense]
-    mixed = dataclasses.replace(
-        sp, quotient=dataclasses.replace(q, lift=lift, project=sparse_rows(project)))
-    assert mat_mul(lift, project) == mat_mul(q.lift, dense)
-    assert -2 in mixed.quotient.lift[1]
+    mixed = dataclasses.replace(sp, quotient=dataclasses.replace(
+        q, lift=sparse_rows(lift), project=sparse_rows(project)))
+    assert mat_mul(lift, project) == mat_mul(dense_rows(q.lift, n), dense)
+    assert -2 in dense_rows(mixed.quotient.lift, n)[1]
     hecke.hecke_operator(mixed, 3)
     hecke.complex_conjugation(mixed)
     hecke.atkin_lehner(mixed)
@@ -290,6 +292,29 @@ def test_readers_of_project_stay_sparse(monkeypatch, family, level):
     dualpair.pairing_matrix(sp)
     for phi in basis:
         dualpair.lambda_to_mms(sp, dualpair.lambda_from_dual(sp, phi))
+
+
+@pytest.mark.parametrize("family,level", [("gamma0", 37), ("gamma1", 13)])
+def test_build_and_operators_never_densify(monkeypatch, family, level):
+    """The build, every operator, classical T_q and the classical boundary
+    read the sparse relations, ``project`` and ``lift`` as they are; only the
+    export, manin_gen/cusp_gen and snf convert between the two forms."""
+    def refuse(*_):
+        raise AssertionError("sparse_rows or dense_rows called")
+
+    for mod in (zlattice, mms, hecke, classical):
+        for name in ("sparse_rows", "dense_rows"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    sp = build_space(GroupSpec(family, level))
+    d = _diamond_unit(level)
+    for q in (2, 3, 5, 7):
+        hecke.hecke_operator(sp, q)
+        classical.hecke_matrix(sp, q)
+    hecke.hecke_composite(sp, 4)
+    hecke.atkin_lehner(sp)
+    hecke.complex_conjugation(sp)
+    hecke.diamond(sp, d)
+    classical.boundary_matrix(sp)
 
 
 @pytest.mark.parametrize("family,level", LEVELS)

@@ -113,7 +113,7 @@ class TestSNF:
         for family, level in [("gamma0", 36), ("gamma0", 60), ("gamma0", 101),
                               ("gamma1", 17)]:
             cosets = sl2.enumerate_cosets(sl2.GroupSpec(family, level))
-            decs.append(snf(_assemble_relations(cosets, sl2.cusp_table(cosets))))
+            decs.append(snf(_relation_matrix(cosets)))
         assert _snf_digest(decs) == \
             "07683e54df9f672d1ecdb4d1e33c545e0507c15d4eab6ea66b1ac1f940a46824"
 
@@ -145,7 +145,7 @@ class TestSNF:
     def test_matches_dense_oracle_on_relation_matrices(self, family, levels):
         for level in levels:
             cosets = sl2.enumerate_cosets(sl2.GroupSpec(family, level))
-            relations = _assemble_relations(cosets, sl2.cusp_table(cosets))
+            relations = _relation_matrix(cosets)
             mu = cosets.index
             _assert_same_snf(relations)
             _assert_same_snf([row[:mu] for row in relations[:2 * mu]])
@@ -157,13 +157,21 @@ class TestSNF:
             _assert_same_snf(dualpair.pairing_matrix(space).six_mat)
 
 
+def _relation_matrix(cosets):
+    """The dense matrix of (R1)-(R3) for a coset table."""
+    cusps = sl2.cusp_table(cosets)
+    return dense_rows(_assemble_relations(cosets, cusps), cosets.index + cusps.count)
+
+
 def _assert_section_matches_snf(rel, n):
-    q, dec = quotient_by_rows(rel, n), snf(rel)
+    q, dec = quotient_by_rows(sparse_rows(rel), n), snf(rel)
     r = len(dec.invariants)
-    # project rows are tuples of the non-zero (column, value) pairs in column order
+    # project and lift rows are tuples of the non-zero (column, value) pairs
+    # in column order
     assert q.project == sparse_rows(dense_rows(q.project, q.rank)), rel
+    assert q.lift == sparse_rows(dense_rows(q.lift, n)), rel
     assert dense_rows(q.project, q.rank) == [row[r:] for row in dec.vinv], rel
-    assert q.lift == dec.v[r:], rel
+    assert dense_rows(q.lift, n) == dec.v[r:], rel
     assert q.torsion == [x for x in dec.invariants if x != 1], rel
 
 
@@ -299,11 +307,11 @@ class TestQuotient:
         for _ in range(30):
             n = rng.randint(1, 5)
             rel = random_matrix(rng, rng.randint(0, 4), n)
-            q = quotient_by_rows(rel, n)
+            q = quotient_by_rows(sparse_rows(rel), n)
             project = dense_rows(q.project, q.rank)
             if rel:
                 assert all(x == 0 for row in mat_mul(rel, project) for x in row)
-            assert mat_mul(q.lift, project) == identity_matrix(q.rank)
+            assert mat_mul(dense_rows(q.lift, n), project) == identity_matrix(q.rank)
 
     # project and lift are read off the sparse elimination: they must be the
     # columns of vinv and the rows of v that the dense snf gives
@@ -325,18 +333,20 @@ class TestQuotient:
     def test_section_matches_snf_on_relation_matrices(self, family, levels):
         for level in levels:
             cosets = sl2.enumerate_cosets(sl2.GroupSpec(family, level))
-            relations = _assemble_relations(cosets, sl2.cusp_table(cosets))
+            relations = _relation_matrix(cosets)
             mu = cosets.index
             _assert_section_matches_snf(relations, len(relations[0]))
             _assert_section_matches_snf([row[:mu] for row in relations[:2 * mu]], mu)
 
     def test_torsion(self):
-        q = quotient_by_rows([[2, 0]], 2)
+        q = quotient_by_rows([((0, 2),)], 2)
         assert q.rank == 1 and q.torsion == [2]
 
+    # a relation is a sparse row, so the ambient rank bounds its columns
     def test_dimension_error(self):
-        with pytest.raises(LatticeError):
-            quotient_by_rows([[1, 2, 3]], 2)
+        for relations in ([((2, 3),)], [((0, 1), (-1, 3))]):
+            with pytest.raises(LatticeError):
+                quotient_by_rows(relations, 2)
 
 
 class TestKernelSolve:
