@@ -112,5 +112,9 @@ def hecke_matrix(space, q):
     low = -(q - 1) // 2 if q % 2 and n % q else 0
     mats = [(1, i, 0, q) for i in range(low, low + q)]
     if n % q:
-        mats.append(mmul(gamma0_with_lower_right(n, q), (q, 0, 0, 1)))
+        # diag(q, 1) carries the diamond twist <q>, trivial when q is in +-H
+        last = (q, 0, 0, 1)
+        if q % n not in space.spec.units:
+            last = mmul(gamma0_with_lower_right(n, q), last)
+        mats.append(last)
     return _apply_mats(space, mats)

@@ -113,17 +113,6 @@ def _units_after_inverting(invariants, rank, inverted):
         for f in invariants)
 
 
-def is_perfect_over(pairing, inverted):
-    """Whether the pairing is unimodular after inverting the given integer.
-
-    True when the pairing is non-degenerate and every invariant factor
-    becomes a unit in Z[1/inverted], i.e. when all their numerators and
-    denominators only involve primes dividing ``inverted``.
-    """
-    return _units_after_inverting(fractional_invariants(pairing),
-                                  len(pairing.six_mat), inverted)
-
-
 def abs_pfaffian(det):
     """|Pfaffian| from the determinant of an antisymmetric matrix, or None.
 

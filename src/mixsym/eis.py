@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (from_int, from_man_exp, mpc_div_mpf, mpc_neg,
+                          mpc_to_complex, round_nearest)
 
 from .zlattice import factor
 
@@ -151,7 +152,7 @@ def gauss_sum(chi):
         raise CharacterError("gauss_sum requires a primitive character")
     if chi.modulus == 1:
         return 1 + 0j
-    return sum(chi(a) * z for a, z in _additive_characters(chi.modulus))
+    return sum(chi.values[a] * z for a, z in _additive_characters(chi.modulus))
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,8 +178,9 @@ def l_even_char_at_1(chi, route="log"):
     sum is rounded to nearest with ties to even, one real and one imaginary
     part at a time, exactly where an mpc loop at 30 digits rounds.  A
     correctly rounded result is unique, so every intermediate value, and the
-    returned complex, is bit-identical to that loop's; only the division by
-    -f and the conversion to complex go through mpmath.
+    returned complex, is bit-identical to that loop's.  The negation, the
+    division by f and the conversion to complex are the libmp calls that
+    mpc arithmetic at 30 digits makes, so no mpc object is built.
     """
     if chi.is_trivial or not chi.is_even:
         raise CharacterError("requires a nontrivial even character")
@@ -193,10 +195,10 @@ def l_even_char_at_1(chi, route="log"):
         return -tau / f * s
     if route == "series":
         re, im = _series_totals(chi, _digamma_table(f))
-        with mpmath.workdps(30):
-            total = mpmath.mpc(from_man_exp(*re), from_man_exp(*im))
-            val = -total / f
-        return complex(val)
+        total = (from_man_exp(*re), from_man_exp(*im))
+        val = mpc_div_mpf(mpc_neg(total, _PREC, round_nearest), from_int(f),
+                          _PREC, round_nearest)
+        return mpc_to_complex(val, rnd=round_nearest)
     if route == "partial":
         return _l_partial_sums(chi)
     raise CharacterError(f"unknown route {route!r}")
@@ -221,66 +223,67 @@ def _digamma_table(f):
 
 
 # mpmath.workdps(30) computes at this many bits, rounding to nearest with
-# ties to even.  The kernel below works on pairs (man, exp) standing for
-# man * 2**exp, man a signed int and 0 for zero.
+# ties to even.
 _PREC = 103
-
-
-def _round_even(man, exp):
-    """The pair man * 2**exp rounded to _PREC significant bits, ties to even."""
-    n = man.bit_length() - _PREC
-    if n <= 0:
-        return man, exp
-    half = 1 << (n - 1)
-    q = (man + half) >> n
-    if q & 1 and man & (2 * half - 1) == half:
-        q -= 1
-    return q, exp + n
-
-
-def _mul(am, ae, bm, be):
-    """The product of two pairs, rounded once: mpmath's mpf_mul at 103 bits."""
-    return _round_even(am * bm, ae + be)
-
-
-def _add(am, ae, bm, be):
-    """The sum of two pairs, formed exactly and rounded once.
-
-    This is mpmath's mpf_add at 103 bits whenever neither operand has more
-    than 103 bits, as in the series.  On wider operands mpf_add may stand in
-    for a far smaller addend with one unit 107 bits below the larger
-    operand's last bit, which can round the other way.
-    """
-    if not bm:
-        return _round_even(am, ae)
-    if not am:
-        return _round_even(bm, be)
-    d = ae - be
-    if d >= 0:
-        return _round_even((am << d) + bm, be)
-    return _round_even(am + (bm << -d), ae)
-
-
-def _double(x):
-    """A finite double as the exact pair (man, exp), man of at most 53 bits."""
-    m, e = math.frexp(x)
-    return int(m * 9007199254740992.0), e - 53
 
 
 def _series_totals(chi, table):
     """sum over the table of chi(a) * psi(a/f), as (real pair, imaginary pair).
 
-    Term by term this is mpmath's ``total += mpc(chi(a)) * psi``: each part
-    of chi(a) is exact as a pair, and each part's product and running sum
-    is rounded to 103 bits.  A zero part adds nothing.
+    A pair (man, exp) stands for man * 2**exp, man a signed int and 0 for
+    zero.  Term by term this is mpmath's ``total += mpc(chi(a)) * psi``; the
+    real and imaginary accumulations are independent, so each part is summed
+    by its own loop (``_part_total``).
     """
-    values = chi.values
-    rm = re = im = ie = 0
-    for a, pm, pe in table:
-        z = values[a]
-        rm, re = _add(rm, re, *_mul(*_double(z.real), pm, pe))
-        im, ie = _add(im, ie, *_mul(*_double(z.imag), pm, pe))
-    return (rm, re), (im, ie)
+    zs = [chi.values[a] for a, _, _ in table]
+    return (_part_total([z.real for z in zs], table),
+            _part_total([z.imag for z in zs], table))
+
+
+def _part_total(xs, table):
+    """sum of x * psi over xs and the table, as mpf_mul and mpf_add at 103 bits.
+
+    Each double x is read exactly as a 53-bit mantissa off ``math.frexp``;
+    its product with psi = pm * 2**pe and each running sum are formed
+    exactly and rounded once to ``_PREC`` bits, to nearest with ties to even.
+    A zero part adds nothing.  The sum is mpf_add's whenever neither operand
+    has more than 103 bits, as here: on wider operands mpf_add may stand in
+    for a far smaller addend with one unit 107 bits below the larger
+    operand's last bit, which can round the other way.
+    """
+    frexp = math.frexp
+    sm = se = 0
+    for x, (_, pm, pe) in zip(xs, table):
+        if not x:
+            continue
+        m, e = frexp(x)
+        man = int(m * 9007199254740992.0) * pm
+        exp = e - 53 + pe
+        n = man.bit_length() - _PREC
+        if n > 0:
+            half = 1 << (n - 1)
+            q = (man + half) >> n
+            if q & 1 and man & (2 * half - 1) == half:
+                q -= 1
+            man = q
+            exp += n
+        if sm:
+            d = se - exp
+            if d >= 0:
+                man += sm << d
+            else:
+                man = sm + (man << -d)
+                exp = se
+            n = man.bit_length() - _PREC
+            if n > 0:
+                half = 1 << (n - 1)
+                q = (man + half) >> n
+                if q & 1 and man & (2 * half - 1) == half:
+                    q -= 1
+                man = q
+                exp += n
+        sm, se = man, exp
+    return sm, se
 
 
 def _l_partial_sums(chi):
@@ -399,7 +402,8 @@ def _even_nontrivial_primitive_parts(pn):
     for j in range(2, phi, 2):
         f = p ** (n - factor(j).get(p, 0))
         units = dlog if f == pn else [b for b in range(1, f) if b % p]
-        vals = {u: cmath.exp(2j * cmath.pi * j * dlog[u] / phi) for u in units}
+        c = 2j * cmath.pi * j
+        vals = {u: cmath.exp(c * dlog[u] / phi) for u in units}
         out.append(DirichletCharacter(f, j * f // pn, vals, f, True))
     return out
 

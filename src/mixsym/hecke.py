@@ -14,15 +14,16 @@ over q + 1 representatives m (q of them for U_q, where q divides N):
 
   m = ((1,i),(0,q)), i in -(q-1)/2 .. (q-1)/2 for odd q not dividing N
                      and in 0 .. q-1 otherwise;
-  m = gamma*diag(q,1) when q does not divide N, gamma in Gamma0(N) with
-      lower-right entry q mod N (in Gamma when q lies in +-H, as on Gamma0).
+  m = diag(q,1) when q does not divide N and q mod N lies in +-H (every
+      such q on Gamma0), and gamma*diag(q,1) for the other q not dividing
+      N, gamma in Gamma0(N) with lower-right entry q mod N.
 
 The last representative carries the diamond twist <q>, so no <q> matrix
-is built.  For odd q not dividing N each m*g splits as t*((1,j),(0,q)) or
-t*diag(q,1) with t unimodular, so the image is the integral symbol
-{t, t'} and T_q is an int matrix.  Otherwise each image is evaluated
-through rational symbols, whose denominators divide q: it is summed in
-ints as q times its coordinates.  W_N is evaluated the same way, with
+is built; when q lies in +-H the twist is trivial.  For odd q not dividing
+N each m*g splits as t*((1,j),(0,q)) or t*diag(q,1) with t unimodular, so
+the image is the integral symbol {t, t'} and T_q is an int matrix.
+Otherwise each image is evaluated through rational symbols, whose
+denominators divide q: it is summed in ints as q times its coordinates.  W_N is evaluated the same way, with
 w = ((0,-1),(N,0)) and N in place of q.
 
 Images are summed on the ambient generators, as {generator: coefficient}
@@ -147,7 +148,10 @@ def _coset_reps(space, q):
     reps = [(1, i, 0, q) for i in range(low, low + q)]
     if n % q == 0:
         return reps
-    return reps + [mmul(gamma0_with_lower_right(n, q), (q, 0, 0, 1))]
+    last = (q, 0, 0, 1)
+    if q % n not in space.spec.units:
+        last = mmul(gamma0_with_lower_right(n, q), last)
+    return reps + [last]
 
 
 def _translate(h, q):

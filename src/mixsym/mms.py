@@ -285,11 +285,6 @@ def boundary(space, x):
     return vec_mat(x, space.boundary_basis)
 
 
-def pi_classical(space, x):
-    """Projection to the classical modular-symbol presentation."""
-    return vec_mat(x, space.pi_basis)
-
-
 def manin_image_rows(space):
     """Images of all Manin generators, the span of the coset-symbol map."""
     return [space.manin_gen(i) for i in range(space.n_manin)]

@@ -2,19 +2,23 @@
 polynomial and rank, the dense Smith normal form, the dense relation
 matrix of the presentation, membership by family,
 T^n and the S/T word of a matrix with the two walks over it for
-reduce_pair, the coset translate found by search, the pairing's radical and
-its dense product, the Fraction routes for the rational and composite Hecke
-operators, and the mpc loop for the digamma series."""
+reduce_pair, the coset translate found by search, the pairing's radical,
+its dense product and its perfectness over Z[1/n], the projection to the
+classical presentation, the T_q representatives with the twisted last one,
+the Fraction routes for the rational and composite Hecke operators, and the
+mpc loop and finish for the digamma series."""
 
 from fractions import Fraction
 from math import gcd
 
 import mpmath
 
+from mixsym.dualpair import _units_after_inverting, fractional_invariants
 from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
-from mixsym.sl2 import MAT_ID, MAT_S, InvalidSpecError, det, minv, mmul, mneg
+from mixsym.sl2 import (MAT_ID, MAT_S, InvalidSpecError, det, gamma0_with_lower_right,
+                        minv, mmul, mneg)
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
                              identity_matrix, kernel_basis, mat_copy, mat_mul,
                              mat_transpose, vec_mat)
@@ -308,6 +312,34 @@ def translate_by_search(h, q):
     raise AssertionError("no coset translate found; determinant not prime?")
 
 
+def is_perfect_over(pairing, inverted):
+    """Whether the pairing is unimodular after inverting the given integer.
+
+    True when the pairing is non-degenerate and every invariant factor
+    becomes a unit in Z[1/inverted], i.e. when all their numerators and
+    denominators only involve primes dividing ``inverted``.
+    """
+    return _units_after_inverting(fractional_invariants(pairing),
+                                  len(pairing.six_mat), inverted)
+
+
+def pi_classical(space, x):
+    """Projection of a lattice vector to the classical presentation."""
+    return vec_mat(x, space.pi_basis)
+
+
+def coset_reps_twisted(space, q):
+    """The T_q / U_q representatives with gamma*diag(q,1) last for every q
+    not dividing N, gamma = gamma0_with_lower_right(N, q), also when q lies
+    in +-H."""
+    n = space.spec.level
+    low = -(q - 1) // 2 if q % 2 and n % q else 0
+    reps = [(1, i, 0, q) for i in range(low, low + q)]
+    if n % q == 0:
+        return reps
+    return reps + [mmul(gamma0_with_lower_right(n, q), (q, 0, 0, 1))]
+
+
 def pairing_kernel(pairing):
     """Basis of the rational radical {phi : phi * P = 0} of the pairing."""
     if not pairing.six_mat:
@@ -441,3 +473,10 @@ def series_total_mpc(chi, psi):
         for a, psi_a in psi.items():
             total += mpmath.mpc(chi(a)) * psi_a
     return total
+
+
+def series_finish_mpc(re, im, f):
+    """-(re + i*im) / f as a complex, by mpc arithmetic at 30 digits."""
+    with mpmath.workdps(30):
+        val = -mpmath.mpc(re, im) / f
+    return complex(val)

@@ -18,7 +18,7 @@ from mixsym.mms import (build_space, cusp_cokernel_invariants,
 from mixsym.sl2 import GroupSpec
 from mixsym.zlattice import kernel_basis, mat_mul, solve_rational
 
-from _reference import charpoly
+from _reference import charpoly, is_perfect_over
 
 GAMMA0_LEVELS = [1, 5, 7, 9, 11, 13, 23, 25]
 GAMMA1_LEVELS = [5, 7, 11, 13]
@@ -124,7 +124,7 @@ def test_criterion_6_pairing_suite():
         ok = ok and info["antisymmetric"] and info["six_times_integral"]
         ok = ok and dualpair.conj_anti_invariance(
             sp, pm, hecke.complex_conjugation(sp))
-        ok = ok and dualpair.is_perfect_over(pm, 2 * p)
+        ok = ok and is_perfect_over(pm, 2 * p)
         w = hecke.atkin_lehner(sp)
         q = next(q for q in (3, 5, 7, 11) if (2 * p) % q != 0)
         ok = ok and dualpair.adjointness_check(

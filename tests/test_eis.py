@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_float, from_man_exp, mpf_add, mpf_mul, mpf_pos
+from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_add, mpf_mul,
+                          mpf_pos)
 
 from mixsym import eis
 
@@ -18,7 +20,7 @@ from mixsym.eis import (CharacterError, UnsupportedModulusError, bernoulli2,
 from mixsym.sl2 import MAT_ID, MAT_S, MAT_T, mmul
 from mixsym.zlattice import factor
 
-from _reference import digamma_mpf, series_total_mpc
+from _reference import digamma_mpf, series_finish_mpc, series_total_mpc
 
 
 class TestCharacters:
@@ -157,69 +159,94 @@ def _mpf(pair):
     return from_man_exp(*pair)
 
 
+def _kernel(terms):
+    """The kernel's total of x * psi over terms (x, (man, exp)), as an mpf."""
+    table = [(a, man, exp) for a, (_, (man, exp)) in enumerate(terms, 1)]
+    return _mpf(eis._part_total([x for x, _ in terms], table))
+
+
+def _product(x, psi):
+    """x * psi by mpmath at 103 bits, rounding 'n'."""
+    return mpf_mul(from_float(x), _mpf(psi), 103, "n")
+
+
 _WIDE = st.integers(-(2**200 - 1), 2**200 - 1)
 _NARROW = st.integers(-(2**103 - 1), 2**103 - 1)
 _EXP = st.integers(-300, 300)
 _GAP = st.integers(-400, 400)
 _KEPT = st.integers(2**101, 2**102 - 1)  # 102 bits; 2*k + parity has 103
 _SHIFT = st.integers(1, 300)
+_THIRD = st.integers(2**103 // 6 + 1, 2**102 - 1)  # 3 * (2*t + 1) has 104 bits
+# every finite double, and the range of a character's parts
+_DOUBLE = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1, 1)
 
 
 class TestRoundingKernel:
-    """The kernel's mul and add against mpmath's at 103 bits, rounding 'n'."""
+    """The fused kernel ``_part_total`` against mpmath's mul and add at 103
+    bits, rounding 'n': a one-term table rounds one product, a two-term
+    table one product, one more product and their sum."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_WIDE | st.just(0), _EXP, _WIDE | st.just(0), _GAP)
-    def test_mul_matches_mpf_mul(self, am, ae, bm, gap):
-        be = ae + gap
-        assert _mpf(eis._mul(am, ae, bm, be)) == \
-            mpf_mul(from_man_exp(am, ae), from_man_exp(bm, be), 103, "n")
+    @given(_DOUBLE, _WIDE | st.just(0), _EXP)
+    def test_mul_matches_mpf_mul(self, x, pm, pe):
+        assert _kernel([(x, (pm, pe))]) == _product(x, (pm, pe))
 
     @settings(max_examples=300, deadline=None)
-    @given(_NARROW | st.just(0), _EXP, _NARROW | st.just(0), _GAP)
-    def test_add_matches_mpf_add(self, am, ae, bm, gap):
-        # operands of at most 103 bits: every sum the series forms
-        be = ae + gap
-        assert _mpf(eis._add(am, ae, bm, be)) == \
-            mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), 103, "n")
+    @given(_DOUBLE, _NARROW | st.just(0), _EXP, _DOUBLE, _NARROW | st.just(0), _GAP)
+    def test_add_matches_mpf_add(self, x, pm, pe, y, qm, gap):
+        # table mantissas of at most 103 bits, as psi's are
+        a, b = (pm, pe), (qm, pe + gap)
+        assert _kernel([(x, a), (y, b)]) == \
+            mpf_add(_product(x, a), _product(y, b), 103, "n")
 
     @settings(max_examples=300, deadline=None)
-    @given(_WIDE | st.just(0), _EXP, _WIDE | st.just(0), _GAP)
-    def test_add_is_the_exact_sum_rounded(self, am, ae, bm, gap):
-        # wider operands: mpf_add without rounding, then mpmath's rounding
-        be = ae + gap
-        exact = mpf_add(from_man_exp(am, ae), from_man_exp(bm, be))
-        assert _mpf(eis._add(am, ae, bm, be)) == mpf_pos(exact, 103, "n")
+    @given(st.lists(st.tuples(_DOUBLE, _WIDE | st.just(0), _EXP), max_size=6))
+    def test_add_is_the_exact_sum_rounded(self, terms):
+        # any mantissa width: each running sum is formed exactly, then
+        # rounded once by mpmath's rounding
+        total = fzero
+        for x, pm, pe in terms:
+            if x:
+                exact = mpf_add(total, _product(x, (pm, pe)))
+                total = mpf_pos(exact, 103, "n")
+        assert _kernel([(x, (pm, pe)) for x, pm, pe in terms]) == total
 
     @settings(max_examples=200, deadline=None)
-    @given(_KEPT, st.sampled_from([0, 1]), st.sampled_from([1, -1]), _SHIFT, _EXP)
-    def test_exact_ties(self, k, parity, sign, n, e):
+    @given(_KEPT, st.sampled_from([0, 1]), st.sampled_from([1, -1]), _SHIFT, _EXP,
+           _THIRD)
+    def test_exact_ties(self, k, parity, sign, n, e, t):
         kept = 2 * k + parity  # 103 bits, last kept bit = parity
+        rounded = _mpf((sign * (kept + parity), e + n))  # the even neighbour
+        # the tie as a product: 1.0 times a mantissa with n dropped bits
         man = sign * ((kept << n) + (1 << (n - 1)))
-        rounded = sign * (kept + parity)  # ties go to the even neighbour
-        assert _mpf(eis._round_even(man, e)) == _mpf((rounded, e + n))
-        x = from_man_exp(man, e)
-        assert _mpf(eis._round_even(man, e)) == mpf_pos(x, 103, "n")
-        # the same tie reached as a product and as a sum of 103-bit operands
-        tie = sign * (2 * kept + 1)
-        assert _mpf(eis._mul(tie, e, 1, n - 1)) == \
-            mpf_mul(from_man_exp(tie, e), from_man_exp(1, n - 1), 103, "n")
-        a, b = from_man_exp(sign * kept, e + n), from_man_exp(sign, e + n - 1)
-        assert _mpf(eis._add(sign * kept, e + n, sign, e + n - 1)) == \
-            _mpf((rounded, e + n)) == mpf_add(a, b, 103, "n")
+        assert _kernel([(1.0, (man, e))]) == rounded == _product(1.0, (man, e))
+        # 3.0 times an odd 103-bit mantissa: 104 bits, the dropped one a 1
+        odd = 2 * t + 1
+        low = 3 * odd >> 1
+        even = _mpf((sign * (low + low % 2), e + 1))
+        assert _kernel([(3.0, (sign * odd, e))]) == even == \
+            _product(3.0, (sign * odd, e))
+        # as a sum of two exact 103-bit products
+        a, b = (sign * kept, e + n), (sign, e + n - 1)
+        assert _kernel([(1.0, a), (1.0, b)]) == rounded == \
+            mpf_add(_mpf(a), _mpf(b), 103, "n")
 
     def test_exact_zeros(self):
-        one = (1, 0)
-        assert eis._mul(0, 5, 3, -7)[0] == 0
-        assert _mpf(eis._add(0, 9, *one)) == _mpf(one)
-        assert _mpf(eis._add(*one, 0, -900)) == _mpf(one)
-        assert eis._add(0, 3, 0, -3)[0] == 0
-        assert eis._add(5, 0, -5, 0)[0] == 0
+        one, five = (1, 0), (5, -3)
+        # a zero part is skipped, whatever its psi
+        assert _kernel([(0.0, five), (-0.0, (7, 900))]) == fzero
+        assert _kernel([(0.0, (3, 9)), (1.0, one), (-0.0, (1, -900))]) == \
+            _mpf(one)
+        # a zero psi, and a sum that cancels, leave nothing behind
+        assert _kernel([(1.0, (0, 5)), (2.0, one)]) == _mpf((2, 0))
+        assert _kernel([(1.0, five), (-1.0, five)]) == fzero
+        assert _kernel([(1.0, five), (-1.0, five), (0.5, (3, 600))]) == \
+            _mpf((3, 599))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_double_is_exact(self, x):
-        man, exp = eis._double(x)
+        man, exp = eis._part_total([x], [(1, 1, 0)])
         assert abs(man).bit_length() <= 53
         assert _mpf((man, exp)) == from_float(x)
 
@@ -238,6 +265,18 @@ class TestSeriesTotals:
         for chi in chars:
             re, im = eis._series_totals(chi, table)
             assert (_mpf(re), _mpf(im)) == series_total_mpc(chi, psi)._mpc_
+
+    @pytest.mark.parametrize(
+        "m", [5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169, 97])
+    def test_finish_equals_mpc_finish(self, m):
+        """-total / f by libmp equals the mpc arithmetic at 30 digits, bit for bit."""
+        table = eis._digamma_table(m)
+        for chi in _primitive_even(m):
+            re, im = eis._series_totals(chi, table)
+            want = series_finish_mpc(_mpf(re), _mpf(im), m)
+            got = l_even_char_at_1(chi, route="series")
+            assert struct.pack("<dd", got.real, got.imag) == \
+                struct.pack("<dd", want.real, want.imag)
 
 
 def _matrices_reference(pn):

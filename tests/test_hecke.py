@@ -14,7 +14,8 @@ from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul
 from mixsym.zlattice import (kernel_basis, mat_mul, smith_invariants, solve_rational,
                              vec_mat)
 
-from _reference import charpoly, hecke_rational_fractions, mpow_t, translate_by_search
+from _reference import (charpoly, coset_reps_twisted, hecke_rational_fractions, mpow_t,
+                        translate_by_search)
 
 
 def _space(family, level, _cache={}):
@@ -25,6 +26,32 @@ def _space(family, level, _cache={}):
 
 def _frac(m):
     return [[Fraction(x) for x in row] for row in m]
+
+
+class TestLastRepresentative:
+    """diag(q, 1) is the last representative of T_q when q lies in +-H."""
+
+    @pytest.mark.parametrize("family, levels",
+                             [("gamma0", range(1, 61)), ("gamma1", range(2, 21))],
+                             ids=["gamma0", "gamma1"])
+    def test_matches_twisted_representative(self, family, levels, monkeypatch):
+        seen = 0
+        for n in levels:
+            sp = _space(family, n)
+            for q in (2, 3, 5, 7, 11, 13):
+                if n % q == 0 or q % n not in sp.spec.units:
+                    continue
+                seen += 1
+                twisted = coset_reps_twisted(sp, q)
+                assert hecke._coset_reps(sp, q) == twisted[:-1] + [(q, 0, 0, 1)]
+                op = hecke.hecke_operator(sp, q)
+                with monkeypatch.context() as m:
+                    m.setattr(hecke, "_coset_reps", coset_reps_twisted)
+                    ref = hecke.hecke_operator(sp, q)
+                assert (op.num, op.den) == (ref.num, ref.den), (family, n, q)
+                assert classical.hecke_matrix(sp, q) == \
+                    classical._apply_mats(sp, twisted), (family, n, q)
+        assert seen
 
 
 class TestIntegrality:

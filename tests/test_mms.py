@@ -14,14 +14,14 @@ from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, bound
                         build_space, cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
                         homology_sublattice, kernel_pi_invariants,
-                        manin_index, pi_classical, reduce_pair,
+                        manin_index, reduce_pair,
                         reduce_pair_rational, reduce_pair_scaled,
                         space_from_dict, space_to_dict)
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul
 from mixsym.zlattice import dense_rows, quotient_by_rows, sparse_rows
 
-from _reference import (assemble_relations_dense, mpow_t, reduce_pair_matrix_walk,
-                        reduce_to_ambient_by_word)
+from _reference import (assemble_relations_dense, mpow_t, pi_classical,
+                        reduce_pair_matrix_walk, reduce_to_ambient_by_word)
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
