@@ -11,6 +11,7 @@ emitted with status "report" and only fail the run under --strict.
 """
 
 import argparse
+import errno
 import json
 import math
 import sys
@@ -209,15 +210,22 @@ SUITES = {
 
 
 def _write(text, path):
-    """Write ``text`` to ``path``, or to stdout when it is None; 3 on OSError, else 0."""
-    if not path:
-        sys.stdout.write(text)
-        return 0
+    """Write ``text`` to ``path``, or to stdout when it is None; 3 on OSError, else 0.
+
+    Stdout is flushed here, so a full device fails inside the handler and
+    not at exit; a closed stdout (sys.stdout is None) fails as EBADF.
+    """
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        if path:
+            with open(path, "w") as f:
+                f.write(text)
+        elif sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as e:
-        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        print(f"error: cannot write {path or 'stdout'}: {e}", file=sys.stderr)
         return 3
     return 0
 
@@ -276,8 +284,7 @@ def run_import(args):
     except (InvalidInputError, InvalidSpecError) as e:
         print(f"error: {args.path}: {e}", file=sys.stderr)
         return 2
-    print(f"ok: {space.spec.label()} rank {space.rank}")
-    return 0
+    return _write(f"ok: {space.spec.label()} rank {space.rank}\n", None)
 
 
 def _int_list(s):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import sl2
-from .sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, det, gcdex, minv, mmul, mneg
+from .sl2 import GroupSpec, det, gcdex, minv, mmul, mneg
 from .zlattice import (QuotientLattice, dense_rows, identity_matrix, kernel_basis,
                        quotient_by_rows, smith_invariants, sublattice_index, vec_mat,
                        vec_mat_sparse)
@@ -318,19 +318,27 @@ def expected_manin_index(space):
 def homology_sublattice(space):
     """Generators of the embedded open-curve homology lattice.
 
-    The Schreier generators reps[i] * gen * reps[j]^-1 of Gamma, for gen in
-    {S, T} and j the coset of reps[i] * gen, are fed through
-    reduce_pair(1, gamma); the honest image lattice is returned without
-    saturation.
+    gamma -> {1, gamma} is additive, so its image is the span of the cycles of
+    the coset graph, whose edges i -> i*S carry ManinGen(i) and i -> i*T carry
+    CuspGen(c(i)).  A breadth-first search from coset 0 gives tree sums Q(i);
+    a non-tree edge i -> j gives Q(i) + edge - Q(j).  No saturation is taken.
     """
-    reps = space.cosets.reps
+    act_s, act_t = space.cosets.action["S"], space.cosets.action["T"]
+    n_manin, cusp_of, project = len(act_s), space.cusps.cusp_of, space.quotient.project
+    tree = [None] * n_manin
+    tree[0] = [0] * space.rank
     rows = []
-    for i in range(space.n_manin):
-        for name, gen in (("S", MAT_S), ("T", MAT_T)):
-            gamma = mmul(reps[i], gen, minv(reps[space.cosets.act(i, name)]))
-            row = reduce_pair(space, MAT_ID, gamma)
-            if any(row):
-                rows.append(row)
+    queue = [0]
+    for i in queue:
+        for j, edge in ((act_s[i], project[i]), (act_t[i], project[n_manin + cusp_of[i]])):
+            row = tree[i][:]
+            for k, x in edge:
+                row[k] += x
+            if tree[j] is None:
+                tree[j] = row
+                queue.append(j)
+            elif row != tree[j]:
+                rows.append([x - y for x, y in zip(row, tree[j])])
     return rows
 
 

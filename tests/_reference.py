@@ -5,8 +5,9 @@ T^n and the S/T word of a matrix with the two walks over it for
 reduce_pair, the coset translate found by search, the pairing's radical,
 its dense product and its perfectness over Z[1/n], the projection to the
 classical presentation, the T_q representatives with the twisted last one,
-the Fraction routes for the rational and composite Hecke operators, and the
-mpc loop and finish for the digamma series."""
+the Fraction routes for the rational and composite Hecke operators, the
+mpc loop and finish for the digamma series, and the homology rows from the
+Schreier generators."""
 
 from fractions import Fraction
 from math import gcd
@@ -17,8 +18,8 @@ from mixsym.dualpair import _units_after_inverting, fractional_invariants
 from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
-from mixsym.sl2 import (MAT_ID, MAT_S, InvalidSpecError, det, gamma0_with_lower_right,
-                        minv, mmul, mneg)
+from mixsym.sl2 import (MAT_ID, MAT_S, MAT_T, InvalidSpecError, det,
+                        gamma0_with_lower_right, minv, mmul, mneg)
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
                              identity_matrix, kernel_basis, mat_copy, mat_mul,
                              mat_transpose, vec_mat)
@@ -299,6 +300,21 @@ def reduce_pair_matrix_walk(space, g, gprime):
             amb[i] += 1
             prefix = mmul(prefix, MAT_S)
     return vec_mat(amb, dense_rows(space.quotient.project, space.rank))
+
+
+def homology_rows_schreier(space):
+    """``mms.homology_sublattice`` as it was: the Schreier generators
+    reps[i] * gen * reps[j]^-1 of Gamma, for gen in {S, T} and j the coset of
+    reps[i] * gen, fed through reduce_pair(1, gamma); zero rows dropped."""
+    reps = space.cosets.reps
+    rows = []
+    for i in range(space.n_manin):
+        for name, gen in (("S", MAT_S), ("T", MAT_T)):
+            gamma = mmul(reps[i], gen, minv(reps[space.cosets.act(i, name)]))
+            row = reduce_pair(space, MAT_ID, gamma)
+            if any(row):
+                rows.append(row)
+    return rows
 
 
 def translate_by_search(h, q):

@@ -1,9 +1,12 @@
 """The command-line interface: suites, serialization, exit codes."""
 
 import contextlib
+import copy
+import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -269,6 +272,110 @@ class TestExitCodes:
                                      "--levels", "5",
                                      "--out", "/nonexistent/dir/report.json"])
         assert code == 3 and "error" in err
+
+    class _FullStdout(io.StringIO):
+        def write(self, _):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    @pytest.mark.parametrize("stdout", [_FullStdout(), None], ids=["full", "closed"])
+    @pytest.mark.parametrize("command", ["verify", "export", "import"])
+    def test_unwritable_stdout(self, tmp_path, monkeypatch, command, stdout):
+        argv = {"verify": ["verify", "--suite", "rank", "--levels", "5"],
+                "export": ["export", "--family", "gamma0", "--level", "11"],
+                "import": ["import", str(self._exported(tmp_path)[0])]}[command]
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 3, err.getvalue()
+        assert err.getvalue().startswith("error: cannot write stdout")
+        assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full", "closed"])
+    def test_unwritable_stdout_in_a_subprocess(self, redirect):
+        """The interpreter's own stdout: ENOSPC on /dev/full, None when closed."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mixsym.__file__)))
+        for argv in (["verify", "--suite", "rank", "--levels", "5"],
+                     ["export", "--family", "gamma0", "--level", "11"]):
+            proc = subprocess.run(
+                ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m",
+                 "mixsym.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr.startswith("error: cannot write stdout")
+            assert proc.stderr.count("\n") == 1
+
+
+# values of each JSON type, and strings that are not decimal integers
+_JSON_VALUES = {str: "x", int: 3, list: [], dict: {}, type(None): None}
+_NOT_DECIMAL = ["1.5", "+3", "\u0663", " 7", "0x1f", "", "1e3", "--1", "\u0663\u0663"]
+
+
+def _leaves(v, path=()):
+    """(path, value) of every value below the document root, depth first."""
+    if isinstance(v, dict):
+        items = v.items()
+    elif isinstance(v, list):
+        items = enumerate(v)
+    else:
+        return
+    for k, x in items:
+        yield path + (k,), x
+        yield from _leaves(x, path + (k,))
+
+
+def _set(doc, path, value):
+    for k in path[:-1]:
+        doc = doc[k]
+    doc[path[-1]] = value
+
+
+def _mutant(doc, rng):
+    """One seeded mutation of an exported document, as the bytes of a file."""
+    kind = rng.choice(["truncate", "drop", "add", "rename", "retype",
+                       "not-decimal", "ragged"])
+    doc = copy.deepcopy(doc)
+    key = rng.choice(sorted(doc))
+    if kind == "drop":
+        del doc[key]
+    elif kind == "add":
+        doc[rng.choice(["extra", key.upper(), ""])] = rng.choice(list(_JSON_VALUES.values()))
+    elif kind == "rename":
+        doc[key + rng.choice(["_", "s", " "])] = doc.pop(key)
+    elif kind == "retype":
+        path, old = rng.choice(list(_leaves(doc)))
+        _set(doc, path, rng.choice([v for t, v in _JSON_VALUES.items()
+                                    if type(old) is not t]))
+    elif kind == "not-decimal":
+        path = rng.choice([p for p, v in _leaves(doc)
+                           if isinstance(v, str) and v.lstrip("-").isdigit()])
+        _set(doc, path, rng.choice(_NOT_DECIMAL))
+    elif kind == "ragged":
+        row = rng.choice([r for k in ("cosets", "project", "lift", "pi", "boundary")
+                          for r in doc[k]])
+        if rng.random() < 0.5:
+            row.append("0")
+        else:
+            row.pop()
+    data = json.dumps(doc, ensure_ascii=False).encode()
+    if kind == "truncate":
+        data = data[:rng.randrange(len(data))]
+    return kind, data
+
+
+def test_import_fuzz_keeps_the_exit_code_contract(tmp_path):
+    """Seeded mutations of a Gamma0(11) export: each import exits 0-3 with at
+    most one stderr line and no traceback."""
+    path = tmp_path / "space.json"
+    assert _exit(["export", "--family", "gamma0", "--level", "11", "--out", str(path)])[0] == 0
+    doc = json.loads(path.read_text())
+    for seed in range(300):
+        kind, data = _mutant(doc, random.Random(seed))
+        path.write_bytes(data)
+        code, err = _exit(["import", str(path)])
+        assert code in (0, 1, 2, 3), (seed, kind, err)
+        assert "Traceback" not in err and err.count("\n") <= 1, (seed, kind, err)
 
 
 _JUNK = st.sampled_from(["", ",", "x", "1.5", "-", "nan", "inf", "1e999", "2,,3"])

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixsym import dualpair
+from mixsym import dualpair, mms
 from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, boundary,
                         build_space, cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
@@ -18,10 +18,10 @@ from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, bound
                         reduce_pair_rational, reduce_pair_scaled,
                         space_from_dict, space_to_dict)
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul
-from mixsym.zlattice import dense_rows, quotient_by_rows, sparse_rows
+from mixsym.zlattice import dense_rows, quotient_by_rows, sparse_rows, sublattice_index
 
-from _reference import (assemble_relations_dense, mpow_t, pi_classical,
-                        reduce_pair_matrix_walk, reduce_to_ambient_by_word)
+from _reference import (assemble_relations_dense, homology_rows_schreier, mpow_t,
+                        pi_classical, reduce_pair_matrix_walk, reduce_to_ambient_by_word)
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
@@ -347,9 +347,20 @@ MANIN_TABLE = {("gamma0", 5): 3, ("gamma0", 7): 1, ("gamma0", 11): 3,
                ("gamma1", 5): 3, ("gamma1", 7): 3, ("full", 1): 1}
 
 
-# SHA-256 of the homology_sublattice rows over the levels of
-# test_homology_rows_pinned, recorded from a known-good build
+# SHA-256 of the Schreier-generator rows of the reference route over the
+# levels of test_homology_rows_pinned, recorded from a known-good build
 HOMOLOGY_ROWS_DIGEST = "61a18a9f1715cae47f26fca2b4f09ed526dffd7cca7d8000496f0803b7ba9fdf"
+# the same over the spanning-tree cycle rows of homology_sublattice
+HOMOLOGY_TREE_ROWS_DIGEST = "517a16cd76d210f505cf274ab8286669f749e25f630693b82b6b60040946fbac"
+HOMOLOGY_PINNED_LEVELS = (("gamma0", 36), ("gamma0", 60), ("gamma0", 101),
+                          ("gamma1", 13), ("gamma1", 15))
+
+
+def _rows_digest(route):
+    h = hashlib.sha256()
+    for fam, lvl in HOMOLOGY_PINNED_LEVELS:
+        h.update(json.dumps([fam, lvl, route(_space(fam, lvl))]).encode())
+    return h.hexdigest()
 
 
 class TestIndices:
@@ -370,13 +381,43 @@ class TestIndices:
             assert homology_index_in_kernel(_space("gamma0", p)) == p
 
     def test_homology_rows_pinned(self):
-        """The Schreier-generator rows themselves, not only their index."""
-        h = hashlib.sha256()
-        for fam, lvl in (("gamma0", 36), ("gamma0", 60), ("gamma0", 101),
-                         ("gamma1", 13), ("gamma1", 15)):
-            rows = homology_sublattice(_space(fam, lvl))
-            h.update(json.dumps([fam, lvl, rows]).encode())
-        assert h.hexdigest() == HOMOLOGY_ROWS_DIGEST
+        """The Schreier-generator rows of the reference route, not only their index."""
+        assert _rows_digest(homology_rows_schreier) == HOMOLOGY_ROWS_DIGEST
+
+    def test_homology_tree_rows_pinned(self):
+        assert _rows_digest(homology_sublattice) == HOMOLOGY_TREE_ROWS_DIGEST
+
+    @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 121)),
+                                               ("gamma1", range(1, 22))],
+                             ids=["gamma0-1-120", "gamma1-1-21"])
+    def test_homology_spans_the_schreier_lattice(self, family, levels):
+        """The cycle rows and the Schreier rows span one lattice, of the
+        predicted index in ker(boundary)."""
+        for lvl in levels:
+            sp = build_space(GroupSpec(family, lvl))
+            tree, schreier = homology_sublattice(sp), homology_rows_schreier(sp)
+            if sp.rank == 0:
+                assert tree == schreier == [], lvl
+                continue
+            assert sublattice_index(tree, schreier) == 1, lvl
+            assert sublattice_index(schreier, tree) == 1, lvl
+            assert homology_index_in_kernel(sp) == expected_homology_index(sp), lvl
+
+    @pytest.mark.parametrize("family,level", [("gamma0", 37), ("gamma1", 13)])
+    def test_homology_reads_only_the_permutations(self, monkeypatch, family, level):
+        """No coset representative is read and no pair is reduced."""
+        sp = _space(family, level)
+
+        def refuse(*_):
+            raise AssertionError("a representative read or a pair reduced")
+
+        class Refuse:
+            __getattr__ = __getitem__ = __iter__ = __len__ = refuse
+
+        monkeypatch.setattr(sp.cosets, "reps", Refuse())
+        monkeypatch.setattr(mms, "reduce_pair", refuse)
+        monkeypatch.setattr(mms, "_add_pair", refuse)
+        assert homology_index_in_kernel(sp) == expected_homology_index(sp)
 
 
 class TestSerialization:
