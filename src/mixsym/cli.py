@@ -14,6 +14,7 @@ import argparse
 import errno
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -213,21 +214,39 @@ def _write(text, path):
     """Write ``text`` to ``path``, or to stdout when it is None; 3 on OSError, else 0.
 
     Stdout is flushed here, so a full device fails inside the handler and
-    not at exit; a closed stdout (sys.stdout is None) fails as EBADF.
+    not at exit; a closed stdout (None, or a closed file) fails as EBADF.
     """
     try:
         if path:
             with open(path, "w") as f:
                 f.write(text)
-        elif sys.stdout is None:
+        elif sys.stdout is None or sys.stdout.closed:
             raise OSError(errno.EBADF, "stdout is closed")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as e:
         print(f"error: cannot write {path or 'stdout'}: {e}", file=sys.stderr)
+        if not path:
+            _discard_stdout()
         return 3
     return 0
+
+
+def _discard_stdout():
+    """Point stdout's descriptor at os.devnull after a failed write.
+
+    The buffer keeps the bytes it could not write, and the interpreter
+    flushes it again at exit; without this that flush fails too, prints
+    "Exception ignored" and turns the exit code into 120.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind stdout: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def run_verify(args):

@@ -277,14 +277,23 @@ class TestExitCodes:
         def write(self, _):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    @pytest.mark.parametrize("stdout", [_FullStdout(), None], ids=["full", "closed"])
+    @staticmethod
+    def _closed_stdout():
+        f = io.StringIO()
+        f.close()
+        return f
+
+    @pytest.mark.parametrize("stdout", [_FullStdout, lambda: None, _closed_stdout],
+                             ids=["full", "none", "closed"])
     @pytest.mark.parametrize("command", ["verify", "export", "import"])
     def test_unwritable_stdout(self, tmp_path, monkeypatch, command, stdout):
-        argv = {"verify": ["verify", "--suite", "rank", "--levels", "5"],
-                "export": ["export", "--family", "gamma0", "--level", "11"],
-                "import": ["import", str(self._exported(tmp_path)[0])]}[command]
+        if command == "import":
+            argv = ["import", str(self._exported(tmp_path)[0])]
+        else:
+            argv = {"verify": ["verify", "--suite", "rank", "--levels", "5"],
+                    "export": ["export", "--family", "gamma0", "--level", "11"]}[command]
         err = io.StringIO()
-        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stdout", stdout())
         with contextlib.redirect_stderr(err):
             code = main(argv)
         assert code == 3, err.getvalue()
@@ -292,15 +301,24 @@ class TestExitCodes:
         assert err.getvalue().count("\n") == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full", "closed"])
-    def test_unwritable_stdout_in_a_subprocess(self, redirect):
-        """The interpreter's own stdout: ENOSPC on /dev/full, None when closed."""
+    def test_unwritable_stdout_in_a_subprocess(self, redirect, unbuffered):
+        """The interpreter's own stdout: ENOSPC on /dev/full, None when closed.
+
+        Buffered, the bytes of the failed write stay in stdout's buffer and
+        are flushed again at exit; that flush must not fail a second time.
+        """
         src = os.path.dirname(os.path.dirname(os.path.abspath(mixsym.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         for argv in (["verify", "--suite", "rank", "--levels", "5"],
                      ["export", "--family", "gamma0", "--level", "11"]):
             proc = subprocess.run(
                 ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m",
-                 "mixsym.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                 "mixsym.cli", *argv], env=env,
                 capture_output=True, text=True, timeout=120)
             assert proc.returncode == 3, proc.stderr
             assert proc.stderr.startswith("error: cannot write stdout")
