@@ -4,6 +4,7 @@ Subcommands:
 
   mixsym verify --suite {rank,manin,hecke,pairing,eis,all} [options]
   mixsym export --family {gamma0,gamma1,full} --level N [--out PATH]
+  mixsym import PATH
 
 Exit codes: 0 every assertion passed, 1 assertion failure, 2 usage error,
 3 I/O error.  Conjecture-level checks (the pairing determinant value) are

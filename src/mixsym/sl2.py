@@ -201,8 +201,9 @@ def enumerate_cosets(spec):
     for c in range(n):
         for d in range(n):
             if index_of[c * n + d] is None and gcd(gcd(c, d), n) == 1:
+                k = len(reps)  # one int object shared by the whole orbit
                 for u in units:
-                    index_of[u * c % n * n + u * d % n] = len(reps)
+                    index_of[u * c % n * n + u * d % n] = k
                 reps.append(_lift_bottom_row(n, c, d))
     table = CosetTable(spec, reps, index_of)
     for name, m in _GENERATOR_MATS.items():

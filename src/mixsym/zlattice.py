@@ -418,12 +418,14 @@ def sublattice_index(gens_a, gens_b):
 
     Returns ``math.inf`` when the ranks differ; raises LatticeError when some
     generator of B does not lie in the lattice A.  B lies in A exactly when
-    A and A + B have the same reduced HNF; then the index is the ratio of the
-    torsion orders of Z^n / B and Z^n / A, the products of their invariants.
+    A and A + B have the same reduced HNF.  Then A and B span one rational
+    space, so their HNFs share their pivot columns, on which each is upper
+    triangular: the index is the product of the pivots of B over that of A
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.3).
     """
     basis = _hnf_rows(gens_a)
     widths = {len(row) for row in basis + gens_b}
-    if len(widths) > 1 or _hnf_rows(basis + gens_b) != basis:
+    if len(widths) > 1 or _hnf_rows(basis + (hb := _hnf_rows(gens_b))) != basis:
         for row in gens_b:
             if basis and len(row) != len(basis[0]):
                 raise LatticeError("dimension mismatch")
@@ -431,10 +433,8 @@ def sublattice_index(gens_a, gens_b):
             if h != basis:
                 where = "span of" if len(h) > len(basis) else "lattice"
                 raise LatticeError(f"generator outside the {where} A")
-    invs = smith_invariants(gens_b)
-    if len(invs) < len(basis):
-        return inf
-    return prod(invs) // prod(smith_invariants(basis))
+    pivots_b, pivots_a = ([next(filter(None, row)) for row in h] for h in (hb, basis))
+    return inf if len(hb) < len(basis) else prod(pivots_b) // prod(pivots_a)
 
 
 def lcm_list(xs):

@@ -6,11 +6,11 @@ reduce_pair, the coset translate found by search, the pairing's radical,
 its dense product and its perfectness over Z[1/n], the projection to the
 classical presentation, the T_q representatives with the twisted last one,
 the Fraction routes for the rational and composite Hecke operators, the
-mpc loop and finish for the digamma series, and the homology rows from the
-Schreier generators."""
+mpc loop and finish for the digamma series, the homology rows from the
+Schreier generators, and the lattice index as a ratio of Smith invariants."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, prod
 
 import mpmath
 
@@ -22,7 +22,7 @@ from mixsym.sl2 import (MAT_ID, MAT_S, MAT_T, InvalidSpecError, det,
                         gamma0_with_lower_right, minv, mmul, mneg)
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
                              identity_matrix, kernel_basis, mat_copy, mat_mul,
-                             mat_transpose, vec_mat)
+                             mat_transpose, smith_invariants, vec_mat)
 
 
 def mat_rank(a):
@@ -496,3 +496,16 @@ def series_finish_mpc(re, im, f):
     with mpmath.workdps(30):
         val = -mpmath.mpc(re, im) / f
     return complex(val)
+
+
+def sublattice_index_smith(gens_a, gens_b):
+    """``zlattice.sublattice_index`` as a ratio of torsion orders: the product
+    of the Smith invariants of B over that of A, ``inf`` when B has fewer.
+
+    The route before the pivot products; it assumes B lies in A and tests
+    nothing.
+    """
+    invs_b, invs_a = smith_invariants(gens_b), smith_invariants(gens_a)
+    if len(invs_b) < len(invs_a):
+        return inf
+    return prod(invs_b) // prod(invs_a)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixsym
+from mixsym import cli
 from mixsym.cli import main
 
 
@@ -397,34 +398,111 @@ def test_import_fuzz_keeps_the_exit_code_contract(tmp_path):
 
 
 _JUNK = st.sampled_from(["", ",", "x", "1.5", "-", "nan", "inf", "1e999", "2,,3"])
+# valid families (gamma0 and gamma1 for verify) twice as often as the others
+_FAMILIES = st.sampled_from(["gamma0", "gamma1", "full", "gamma0", "gamma1", "gamma2", ""])
+# at most 13, so a space is cheap to build, or above the 10 000 bound of the
+# coset table, where the level is rejected before anything is allocated
+_LEVELS = st.one_of(st.integers(-3, 13), st.integers(10_001, 10**12))
 
 
-def _ints(lo, hi):
-    return st.lists(st.integers(lo, hi), min_size=1, max_size=3).map(
+class _InDir(str):
+    """A path relative to the fuzz directory, joined to it by the fuzzer."""
+
+
+# the fuzz directory itself, a missing file, a file in a missing directory,
+# a valid Gamma0(11) export and a file that is not JSON; an --out path is
+# the directory, one in a missing directory, or a new file (junk included),
+# so no draw writes outside the fuzz directory
+_IMPORT_PATHS = st.sampled_from(["", ".", "missing.json", "missing/out.json",
+                                 "space.json", "junk.json"]).map(_InDir)
+_OUT_PATHS = st.one_of(st.sampled_from([".", "missing/out.json", "out.json"]),
+                       _JUNK).map(_InDir)
+
+
+def _listed(values, max_size=3):
+    return st.lists(values, min_size=1, max_size=max_size).map(
         lambda xs: ",".join(map(str, xs)))
+
+
+def _sometimes(draw, flag, values, junk=_JUNK):
+    """[flag, value] one time in three, the value junk one time in four."""
+    if draw(st.integers(0, 2)):
+        return []
+    return [flag, draw(junk) if draw(st.integers(0, 3)) == 0 else draw(values)]
 
 
 @st.composite
 def _verify_argv(draw):
     argv = ["verify", "--suite",
             draw(st.sampled_from(["rank", "manin", "hecke", "pairing", "eis", "all"])),
-            "--family", draw(st.sampled_from(["gamma0", "gamma1"])),
-            "--levels", ",".join(map(str, draw(
-                st.lists(st.integers(1, 13), min_size=1, max_size=2))))]
-    for flag, values in (("--primes", _ints(-3, 30)), ("--pn", _ints(-3, 60)),
-                         ("--tol", st.floats(allow_nan=True).map(repr))):
-        if draw(st.booleans()):
-            argv += [flag, draw(st.one_of(values, _JUNK))]
-    return argv
+            "--family", draw(_FAMILIES)]
+    for flag, values in (
+            ("--levels", _listed(_LEVELS, max_size=2)),
+            ("--primes", _listed(st.sampled_from([2, 3, 5, 7, 11, 13, 1, 4, -3]))),
+            ("--pn", _listed(st.sampled_from([3, 5, 7, 9, 25, 27, 1, 15, -3]))),
+            ("--tol", st.one_of(st.floats(1e-12, 1.0), st.floats(allow_nan=True)).map(repr))):
+        argv += _sometimes(draw, flag, values)
+    return argv + _sometimes(draw, "--out", _OUT_PATHS, junk=_OUT_PATHS)
+
+
+@st.composite
+def _export_argv(draw):
+    return (["export", "--family", draw(_FAMILIES)]
+            + _sometimes(draw, "--level", _LEVELS.map(str))
+            + _sometimes(draw, "--out", _OUT_PATHS, junk=_OUT_PATHS))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    code, err = _exit(["export", "--family", "gamma0", "--level", "11",
+                       "--out", str(path / "space.json")])
+    assert code == 0, err
+    (path / "junk.json").write_bytes(b"\x00{not json")
+    return path
+
+
+def _fuzzer(argvs, examples):
+    """A fuzzer that runs main on argvs drawn from the strategy ``argvs`` and
+    asserts an exit code in 0-3 with no traceback; an exception that escapes
+    main fails it too."""
+    @settings(max_examples=examples, deadline=None)
+    @given(argv=argvs)
+    def fuzz(fuzz_dir, argv):
+        argv = [str(fuzz_dir / a) if isinstance(a, _InDir) else a for a in argv]
+        code, err = _exit(argv)
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+    return fuzz
+
+
+_FUZZ_VERIFY = _fuzzer(_verify_argv(), 150)
+_FUZZ_EXPORT = _fuzzer(_export_argv(), 60)
+_FUZZ_IMPORT = _fuzzer(_IMPORT_PATHS.map(lambda path: ["import", path]), 20)
 
 
 class TestContractFuzz:
-    @settings(max_examples=40, deadline=None)
-    @given(_verify_argv())
-    def test_exit_code_and_no_traceback(self, argv):
-        code, err = _exit(argv)
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err
+    """verify, export and import exit 0-3 without a traceback on drawn argvs:
+    unknown families, levels that are not positive integers or lie past the
+    table bound, empty and junk lists, missing paths and a directory as
+    --out or as the import path."""
+
+    def test_exit_code_and_no_traceback(self, fuzz_dir):
+        _FUZZ_VERIFY(fuzz_dir)
+
+    def test_export_exit_code_and_no_traceback(self, fuzz_dir):
+        _FUZZ_EXPORT(fuzz_dir)
+
+    def test_import_exit_code_and_no_traceback(self, fuzz_dir):
+        _FUZZ_IMPORT(fuzz_dir)
+
+    def test_an_escaping_error_fails_the_fuzzer(self, monkeypatch, fuzz_dir):
+        def run_import(args):
+            raise KeyError("level")
+
+        monkeypatch.setattr(cli, "run_import", run_import)
+        with pytest.raises(KeyError):
+            _FUZZ_IMPORT(fuzz_dir)
 
 
 def test_cli_import_loads_no_other_third_party_package():

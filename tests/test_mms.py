@@ -13,15 +13,17 @@ from mixsym import dualpair, mms
 from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, boundary,
                         build_space, cusp_cokernel_invariants, expected_homology_index,
                         expected_manin_index, homology_index_in_kernel,
-                        homology_sublattice, kernel_pi_invariants,
-                        manin_index, reduce_pair,
+                        homology_sublattice, kernel_of_boundary, kernel_pi_invariants,
+                        manin_image_rows, manin_index, reduce_pair,
                         reduce_pair_rational, reduce_pair_scaled,
                         space_from_dict, space_to_dict)
 from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul
-from mixsym.zlattice import dense_rows, quotient_by_rows, sparse_rows, sublattice_index
+from mixsym.zlattice import (dense_rows, identity_matrix, quotient_by_rows, sparse_rows,
+                             sublattice_index)
 
 from _reference import (assemble_relations_dense, homology_rows_schreier, mpow_t,
-                        pi_classical, reduce_pair_matrix_walk, reduce_to_ambient_by_word)
+                        pi_classical, reduce_pair_matrix_walk, reduce_to_ambient_by_word,
+                        sublattice_index_smith)
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
@@ -402,6 +404,18 @@ class TestIndices:
             assert sublattice_index(tree, schreier) == 1, lvl
             assert sublattice_index(schreier, tree) == 1, lvl
             assert homology_index_in_kernel(sp) == expected_homology_index(sp), lvl
+
+    @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 101)),
+                                               ("gamma1", range(1, 21))],
+                             ids=["gamma0-1-100", "gamma1-1-20"])
+    def test_pivot_index_matches_the_smith_ratio(self, family, levels):
+        """The HNF pivot products give the Smith-invariant ratio on the
+        homology and Manin pairs."""
+        for lvl in levels:
+            sp = build_space(GroupSpec(family, lvl))
+            for a, b in ((kernel_of_boundary(sp), homology_sublattice(sp)),
+                         (identity_matrix(sp.rank), manin_image_rows(sp))):
+                assert sublattice_index(a, b) == sublattice_index_smith(a, b), lvl
 
     @pytest.mark.parametrize("family,level", [("gamma0", 37), ("gamma1", 13)])
     def test_homology_reads_only_the_permutations(self, monkeypatch, family, level):

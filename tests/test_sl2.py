@@ -229,6 +229,18 @@ class TestCosetTable:
                 else:
                     assert label is None
 
+    @pytest.mark.parametrize("family,level", [("gamma0", 307), ("gamma1", 23)])
+    def test_an_orbit_shares_one_label_object(self, family, level):
+        """Every entry of an orbit holds the same int object, so the table
+        keeps one label per coset rather than one per pair; the levels have
+        more than 256 cosets, past the ints that CPython caches."""
+        table = _table(family, level)
+        first = {}
+        for label in table.index_of:
+            if label is not None:
+                assert first.setdefault(label, label) is label
+        assert len(first) == table.index > 256
+
 
 # SHA-256 of the coset tables of WITNESS_LEVELS: reps, index_of and the
 # S, T, U actions, recorded while GroupSpec still branched on its family
