@@ -410,13 +410,12 @@ class _InDir(str):
 
 
 # the fuzz directory itself, a missing file, a file in a missing directory,
-# a valid Gamma0(11) export and a file that is not JSON; an --out path is
-# the directory, one in a missing directory, or a new file (junk included),
-# so no draw writes outside the fuzz directory
+# a valid Gamma0(11) export and a file that is not JSON
 _IMPORT_PATHS = st.sampled_from(["", ".", "missing.json", "missing/out.json",
                                  "space.json", "junk.json"]).map(_InDir)
-_OUT_PATHS = st.one_of(st.sampled_from([".", "missing/out.json", "out.json"]),
-                       _JUNK).map(_InDir)
+# --out paths, junk names too, lie in the fuzz directory: no draw writes outside it
+_OUT_PATHS = st.sampled_from([".", "missing/out.json", "out.json"]).map(_InDir)
+_OUT_JUNK = _JUNK.map(_InDir)
 
 
 def _listed(values, max_size=3):
@@ -442,14 +441,14 @@ def _verify_argv(draw):
             ("--pn", _listed(st.sampled_from([3, 5, 7, 9, 25, 27, 1, 15, -3]))),
             ("--tol", st.one_of(st.floats(1e-12, 1.0), st.floats(allow_nan=True)).map(repr))):
         argv += _sometimes(draw, flag, values)
-    return argv + _sometimes(draw, "--out", _OUT_PATHS, junk=_OUT_PATHS)
+    return argv + _sometimes(draw, "--out", _OUT_PATHS, junk=_OUT_JUNK)
 
 
 @st.composite
 def _export_argv(draw):
     return (["export", "--family", draw(_FAMILIES)]
             + _sometimes(draw, "--level", _LEVELS.map(str))
-            + _sometimes(draw, "--out", _OUT_PATHS, junk=_OUT_PATHS))
+            + _sometimes(draw, "--out", _OUT_PATHS, junk=_OUT_JUNK))
 
 
 @pytest.fixture(scope="module")
