@@ -8,7 +8,7 @@ action.
 
 from fractions import Fraction
 
-from .sl2 import MAT_ID, gamma0_with_lower_right, gcdex, mmul
+from .sl2 import MAT_ID, gcdex, lift_bottom_row, mmul
 
 INFINITY = None
 
@@ -115,6 +115,6 @@ def hecke_matrix(space, q):
         # diag(q, 1) carries the diamond twist <q>, trivial when q is in +-H
         last = (q, 0, 0, 1)
         if q % n not in space.spec.units:
-            last = mmul(gamma0_with_lower_right(n, q), last)
+            last = mmul(lift_bottom_row(n, 0, q), last)
         mats.append(last)
     return _apply_mats(space, mats)

@@ -114,15 +114,14 @@ def suite_hecke(rep, family, spaces, primes, **_):
         for q in primes:
             op = hecke.hecke_operator(sp, q)
             ops.append(op)
-            if lvl % q != 0 and (2 * lvl) % q != 0 and q != 2:
+            if lvl % q != 0 and q != 2:
                 rep.check(f"integral/T{q}/{tag}", op.is_integral(),
                           f"denominator={op.denominator}")
             elif lvl % q == 0:
                 rep.check(f"denominator/U{q}/{tag}", q % op.denominator == 0,
                           f"denominator={op.denominator} divides {q}")
             else:
-                rep.check(f"denominator/T{q}/{tag}", 2 % op.denominator == 0
-                          or q % op.denominator == 0,
+                rep.check(f"denominator/T{q}/{tag}", 2 % op.denominator == 0,
                           f"denominator={op.denominator}")
         conj = hecke.complex_conjugation(sp)
         ok = all(hecke.operators_commute(a, b)

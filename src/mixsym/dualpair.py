@@ -34,12 +34,12 @@ combinations of those rows; the only division is the final one by 6.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 from .mms import InvalidInputError, expected_homology_index
-from .zlattice import (common_denominator, factor, kernel_basis, lcm_list,
-                       mat_mul, mat_scale, mat_transpose, smith_invariants,
-                       vec_mat, vec_mat_sparse)
+from .zlattice import (common_denominator, factor, kernel_basis, mat_mul,
+                       mat_scale, mat_transpose, smith_invariants, vec_mat,
+                       vec_mat_sparse)
 
 
 @dataclass
@@ -101,15 +101,11 @@ def fractional_invariants(pairing):
     return [Fraction(s, 6) for s in smith_invariants(pairing.six_mat)]
 
 
-def _prime_support(n):
-    return set(factor(n))
-
-
 def _units_after_inverting(invariants, rank, inverted):
     """Whether all ``rank`` invariant factors are units in Z[1/inverted]."""
-    allowed = _prime_support(inverted)
+    allowed = set(factor(inverted))
     return len(invariants) == rank and all(
-        _prime_support(f.numerator) | _prime_support(f.denominator) <= allowed
+        set(factor(f.numerator)) | set(factor(f.denominator)) <= allowed
         for f in invariants)
 
 
@@ -137,7 +133,7 @@ def perfectness_report(space, pairing=None):
     invariants = fractional_invariants(p)
     det = prod(invariants, start=Fraction(1)) \
         if len(invariants) == space.rank else Fraction(0)
-    inverted = 2 * lcm_list(space.cusps.widths) if space.rank else 2
+    inverted = 2 * lcm(*space.cusps.widths) if space.rank else 2
     return {
         "rank": space.rank,
         "antisymmetric": p.is_antisymmetric(),

@@ -408,12 +408,12 @@ def _even_nontrivial_primitive_parts(pn):
     return out
 
 
-def _even_nontrivial_product(pn, route="series"):
+def _even_nontrivial_product(pn):
     """prod over even chi != 1 mod pn of (f_chi/(2*tau(chi))) * L(chi,1)."""
     out = 1 + 0j
     for prim in _even_nontrivial_primitive_parts(pn):
         out *= prim.modulus / (2 * gauss_sum(prim)) \
-            * l_even_char_at_1(prim, route=route)
+            * l_even_char_at_1(prim, route="series")
     return out
 
 

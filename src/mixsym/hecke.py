@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .sl2 import MAT_S, MAT_T, conj_entries, gamma0_with_lower_right, mmul
+from .sl2 import MAT_S, MAT_T, conj_entries, lift_bottom_row, mmul
 from .mms import InvalidInputError, _add_pair, _add_scaled, _combine
 from .zlattice import factor, identity_matrix, mat_mul
 
@@ -134,7 +134,7 @@ def diamond(space, d):
         raise InvalidInputError("diamond requires gcd(d, level) = 1")
     if d % n in space.spec.units:
         return identity_operator(space, f"diamond({d})")
-    gamma = gamma0_with_lower_right(n, d)
+    gamma = lift_bottom_row(n, 0, d)
     return operator_from_pair_map(
         space,
         lambda amb, g, gp: _add_pair(space, amb, mmul(gamma, g), mmul(gamma, gp)),
@@ -150,7 +150,7 @@ def _coset_reps(space, q):
         return reps
     last = (q, 0, 0, 1)
     if q % n not in space.spec.units:
-        last = mmul(gamma0_with_lower_right(n, q), last)
+        last = mmul(lift_bottom_row(n, 0, q), last)
     return reps + [last]
 
 

@@ -17,7 +17,7 @@ completeness of this presentation into a per-level certificate.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import sl2
 from .sl2 import GroupSpec, det, gcdex, minv, mmul, mneg
@@ -99,10 +99,11 @@ def _assemble_relations(cosets, cusps):
     """(R1), (R2) at each coset, then (R3), as sparse rows over the generators."""
     n_manin = cosets.index
     cusp_of = cusps.cusp_of
-    rows = [_sparse_row([(i, 1), (cosets.act(i, "S"), 1)]) for i in range(n_manin)]
+    act_s, act_t = cosets.action["S"], cosets.action["T"]
+    rows = [_sparse_row([(i, 1), (act_s[i], 1)]) for i in range(n_manin)]
     for i in range(n_manin):
-        j = cosets.act(i, "U")
-        k = cosets.act(j, "U")
+        j = act_s[act_t[i]]  # U = T * S
+        k = act_s[act_t[j]]
         rows.append(_sparse_row([t for m in (i, j, k)
                                  for t in ((m, 1), (n_manin + cusp_of[m], -1))]))
     d = cusps.gcd_of_widths
@@ -133,8 +134,8 @@ def build_space(spec):
     # [c(kS)] - [c(k)] and a cusp generator has none
     pi_rows = classical.project + [()] * n_cusp
     pi_basis = [vec_mat_sparse(row, pi_rows, classical.rank) for row in quotient.lift]
-    boundary_rows = [((cusps.cusp_of[cosets.act(k, "S")], 1), (cusps.cusp_of[k], -1))
-                     for k in range(n_manin)] + [()] * n_cusp
+    boundary_rows = [((cusps.cusp_of[j], 1), (cusps.cusp_of[k], -1))
+                     for k, j in enumerate(cosets.action["S"])] + [()] * n_cusp
     boundary_basis = [vec_mat_sparse(row, boundary_rows, n_cusp) for row in quotient.lift]
 
     return SymbolSpace(spec, cosets, cusps, quotient, classical,
@@ -200,9 +201,7 @@ def _primitive_integral(m):
         ints = m
     else:
         entries = [Fraction(x) for x in m]
-        mult = 1
-        for x in entries:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
+        mult = lcm(*(x.denominator for x in entries))
         ints = [int(x * mult) for x in entries]
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
@@ -309,8 +308,8 @@ def expected_manin_index(space):
     """
     if space.rank == 0:
         return 1
-    has_u_fixed = any(space.cosets.act(i, "U") == i
-                      for i in range(space.n_manin))
+    act_s, act_t = space.cosets.action["S"], space.cosets.action["T"]
+    has_u_fixed = any(act_s[act_t[i]] == i for i in range(space.n_manin))
     width_sum = sum(space.cusps.widths)
     return 1 if has_u_fixed or width_sum % 3 != 0 else 3
 

@@ -64,18 +64,6 @@ def gcdex(a, b):
     return y, x - y * q, g
 
 
-def gamma0_with_lower_right(n, d):
-    """A matrix in Gamma0(n) whose lower-right entry is congruent to d mod n.
-
-    Callers pass d prime to n.
-    """
-    d %= n
-    x, y, g = gcdex(d, n)
-    assert g == 1, "entry must be a unit modulo the level"
-    # x*d + y*n = 1, so (x, -y, n, d) has determinant x*d + y*n = 1
-    return (x, -y, n, d)
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """A congruence group: Gamma0(N), Gamma1(N), or all of SL2(Z).
@@ -121,8 +109,15 @@ class GroupSpec:
         return f"{name}({self.level})"
 
 
-def _lift_bottom_row(n, c, d):
-    """A matrix in SL2(Z) whose bottom row is congruent to (c, d) mod n."""
+def lift_bottom_row(n, c, d):
+    """A matrix in SL2(Z) whose bottom row is congruent to (c, d) mod n.
+
+    The row must be primitive mod n, gcd(c, d, n) = 1; a ValueError is
+    raised otherwise.  For c = 0 and a unit d != 1 mod n the result is
+    (x, -y, n, d % n) with x*d + y*n = 1, a matrix of Gamma0(n).
+    """
+    if gcd(gcd(c, d), n) != 1:
+        raise ValueError(f"bottom row ({c}, {d}) is not primitive mod {n}")
     if n == 1:
         return MAT_ID
     c %= n
@@ -146,37 +141,28 @@ class CosetTable:
 
     ``index_of[(c % N) * N + d % N]`` is the index of the coset of the
     matrices with bottom row (c, d), and None when (c, d) is not primitive
-    mod N.  ``action[name][i]`` is ``act(i, name)``, the index of the coset
-    of reps[i] * generator, for the generators ``name`` in ("S", "T", "U"),
-    the only ones the package multiplies by.
+    mod N.  It is the one coset lookup: ``coset_of`` reads it, and so does
+    the walk of ``mms._add_pair``.  ``action["S"][i]`` and ``action["T"][i]``
+    are the indices of the cosets of reps[i] * S and reps[i] * T.  S and T
+    generate SL2(Z), so they carry the whole right action; U = T * S sends
+    coset i to ``action["S"][action["T"][i]]``.
     """
 
     spec: GroupSpec
     reps: list
     index_of: list
-    action: dict = field(default_factory=dict)  # name -> list of coset indices
+    action: dict = field(default_factory=dict)  # "S" | "T" -> list of coset indices
 
     @property
     def index(self):
         return len(self.reps)
 
-    def coset_of_row(self, c, d):
-        """The index of the coset of the matrices with bottom row (c, d)."""
-        n = self.spec.level
-        return self.index_of[c % n * n + d % n]
-
     def coset_of(self, g):
         """The index i with g in +-Gamma * reps[i]."""
         if det(g) != 1:
             raise InvalidSpecError("matrix must have determinant 1")
-        return self.coset_of_row(g[2], g[3])
-
-    def act(self, i, name):
-        """The index of the coset of reps[i] * generator."""
-        return self.action[name][i]
-
-
-_GENERATOR_MATS = {"S": MAT_S, "T": MAT_T, "U": MAT_U}
+        n = self.spec.level
+        return self.index_of[g[2] % n * n + g[3] % n]
 
 
 def enumerate_cosets(spec):
@@ -204,9 +190,9 @@ def enumerate_cosets(spec):
                 k = len(reps)  # one int object shared by the whole orbit
                 for u in units:
                     index_of[u * c % n * n + u * d % n] = k
-                reps.append(_lift_bottom_row(n, c, d))
+                reps.append(lift_bottom_row(n, c, d))
     table = CosetTable(spec, reps, index_of)
-    for name, m in _GENERATOR_MATS.items():
+    for name, m in (("S", MAT_S), ("T", MAT_T)):
         moved = [mmul(rep, m) for rep in reps]
         table.action[name] = [table.coset_of(g) for g in moved]
         assert all(spec.contains(mmul(g, minv(reps[j])))
@@ -250,6 +236,7 @@ def _cusp_point(rep):
 
 def cusp_table(table):
     """Group the cosets into cusp classes and pick canonical representatives."""
+    act_t = table.action["T"]
     seen = [False] * table.index
     raw = []
     for start in range(table.index):
@@ -260,7 +247,7 @@ def cusp_table(table):
         while not seen[i]:
             seen[i] = True
             orbit.append(i)
-            i = table.act(i, "T")
+            i = act_t[i]
         assert i == start
         pts = [_cusp_point(table.reps[j]) for j in orbit]
         best = None
@@ -283,8 +270,9 @@ def cusp_table(table):
 def genus(table, cusps):
     """Genus of the modular curve for Gamma, from the coset table."""
     mu = table.index
-    e2 = sum(1 for i in range(mu) if table.act(i, "S") == i)
-    e3 = sum(1 for i in range(mu) if table.act(i, "U") == i)
+    act_s, act_t = table.action["S"], table.action["T"]
+    e2 = sum(1 for i in range(mu) if act_s[i] == i)
+    e3 = sum(1 for i in range(mu) if act_s[act_t[i]] == i)  # U = T * S
     twelve_g = 12 + mu - 3 * e2 - 4 * e3 - 6 * cusps.count
     assert twelve_g % 12 == 0, "inconsistent coset table"
     return twelve_g // 12

@@ -9,7 +9,7 @@ map with matrix ``M`` is ``x * M``.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import gcd, inf, prod
+from math import gcd, inf, lcm, prod
 
 
 class LatticeError(Exception):
@@ -416,19 +416,19 @@ def solve_rational(a, b):
 def sublattice_index(gens_a, gens_b):
     """Index of the lattice spanned by ``gens_b`` inside the one spanned by ``gens_a``.
 
-    Returns ``math.inf`` when the ranks differ; raises LatticeError when some
-    generator of B does not lie in the lattice A.  B lies in A exactly when
+    Returns ``math.inf`` when the ranks differ; raises LatticeError when the
+    rows of A and B do not all have one length, or when some generator of B
+    does not lie in the lattice A.  B lies in A exactly when
     A and A + B have the same reduced HNF.  Then A and B span one rational
     space, so their HNFs share their pivot columns, on which each is upper
     triangular: the index is the product of the pivots of B over that of A
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4.3).
     """
-    basis = _hnf_rows(gens_a)
-    widths = {len(row) for row in basis + gens_b}
-    if len(widths) > 1 or _hnf_rows(basis + (hb := _hnf_rows(gens_b))) != basis:
+    if len({len(row) for gens in (gens_a, gens_b) for row in gens}) > 1:
+        raise LatticeError("dimension mismatch")
+    basis, hb = _hnf_rows(gens_a), _hnf_rows(gens_b)
+    if _hnf_rows(basis + hb) != basis:
         for row in gens_b:
-            if basis and len(row) != len(basis[0]):
-                raise LatticeError("dimension mismatch")
             h = _hnf_rows(basis + [row])
             if h != basis:
                 where = "span of" if len(h) > len(basis) else "lattice"
@@ -437,16 +437,9 @@ def sublattice_index(gens_a, gens_b):
     return inf if len(hb) < len(basis) else prod(pivots_b) // prod(pivots_a)
 
 
-def lcm_list(xs):
-    out = 1
-    for x in xs:
-        out = out * x // gcd(out, x)
-    return out
-
-
 def common_denominator(*mats):
     """Least positive d such that d times each given matrix is integral."""
-    return lcm_list(x.denominator for m in mats for row in m for x in row)
+    return lcm(*(x.denominator for m in mats for row in m for x in row))
 
 
 def factor(n):

@@ -1,6 +1,7 @@
 """Routines used only by the tests: exact determinant, characteristic
 polynomial and rank, the dense Smith normal form, the dense relation
-matrix of the presentation, membership by family,
+matrix of the presentation with U read by matrix product, a Gamma0(N)
+matrix from an inverse mod N, membership by family,
 T^n and the S/T word of a matrix with the two walks over it for
 reduce_pair, the coset translate found by search, the pairing's radical,
 its dense product and its perfectness over Z[1/n], the projection to the
@@ -18,8 +19,8 @@ from mixsym.dualpair import _units_after_inverting, fractional_invariants
 from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
-from mixsym.sl2 import (MAT_ID, MAT_S, MAT_T, InvalidSpecError, det,
-                        gamma0_with_lower_right, minv, mmul, mneg)
+from mixsym.sl2 import (MAT_ID, MAT_S, MAT_T, MAT_U, InvalidSpecError, det,
+                        minv, mmul, mneg)
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
                              identity_matrix, kernel_basis, mat_copy, mat_mul,
                              mat_transpose, smith_invariants, vec_mat)
@@ -171,7 +172,11 @@ def snf_dense(a):
 
 
 def assemble_relations_dense(cosets, cusps):
-    """The rows of (R1), (R2) and (R3) as one dense matrix over the generators."""
+    """The rows of (R1), (R2) and (R3) as one dense matrix over the generators.
+
+    The U move of (R2) is read from the matrix reps[i] * U, not from the S
+    and T actions.
+    """
     n_manin = cosets.index
     n_cusp = cusps.count
     n = n_manin + n_cusp
@@ -179,12 +184,12 @@ def assemble_relations_dense(cosets, cusps):
     for i in range(n_manin):
         row = [0] * n
         row[i] += 1
-        row[cosets.act(i, "S")] += 1
+        row[cosets.action["S"][i]] += 1
         rows.append(row)
     for i in range(n_manin):
         row = [0] * n
-        j = cosets.act(i, "U")
-        k = cosets.act(j, "U")
+        j = coset_times_u(cosets, i)
+        k = coset_times_u(cosets, j)
         for m in (i, j, k):
             row[m] += 1
             row[n_manin + cusps.cusp_of[m]] -= 1
@@ -195,6 +200,17 @@ def assemble_relations_dense(cosets, cusps):
         row[n_manin + c] = w // d
     rows.append(row)
     return rows
+
+
+def coset_times_u(cosets, i):
+    """The coset of reps[i] * U, by matrix product and ``coset_of``."""
+    return cosets.coset_of(mmul(cosets.reps[i], MAT_U))
+
+
+def gamma0_with_lower_right(n, d):
+    """A matrix (x, y, n, d) of Gamma0(n), for d prime to n, from d^-1 mod n."""
+    x = pow(d, -1, n)
+    return (x, (x * d - 1) // n, n, d)
 
 
 def contains_by_family(spec, m):
@@ -262,16 +278,16 @@ def reduce_to_ambient_by_word(space, g, gprime):
     the token walk over ``stword_decompose(g^-1 * g')``.
 
     One token at a time, in word order: the coset of the bottom row (c, d)
-    of the prefix is read with ``coset_of_row``, then T^k sends the row to
+    of the prefix is read from ``index_of``, then T^k sends the row to
     (c, c*k + d) and S to (d, -c).
     """
-    coset = space.cosets.coset_of_row
+    n, index_of = space.spec.level, space.cosets.index_of
     cusp_of = space.cusps.cusp_of
     word, _ = stword_decompose(mmul(minv(g), gprime))
     c, d = g[2], g[3]
     amb = {}
     for tok in word:
-        i = coset(c, d)
+        i = index_of[c % n * n + d % n]
         if tok[0] == "T":
             k = space.n_manin + cusp_of[i]
             amb[k] = amb.get(k, 0) + tok[1]
@@ -310,7 +326,7 @@ def homology_rows_schreier(space):
     rows = []
     for i in range(space.n_manin):
         for name, gen in (("S", MAT_S), ("T", MAT_T)):
-            gamma = mmul(reps[i], gen, minv(reps[space.cosets.act(i, name)]))
+            gamma = mmul(reps[i], gen, minv(reps[space.cosets.action[name][i]]))
             row = reduce_pair(space, MAT_ID, gamma)
             if any(row):
                 rows.append(row)
@@ -372,7 +388,7 @@ def six_mat_dense(space):
     n = space.n_manin
     manin = dense_rows(space.quotient.project[:n], space.rank)
     left = manin + [space.cusp_gen(c) for c in space.cusps.cusp_of]
-    right = [manin[space.cosets.act(i, "T")] for i in range(n)]
+    right = [manin[j] for j in space.cosets.action["T"]]
     right += [[-4 * x for x in row] for row in manin]
     k = mat_mul(mat_transpose(left), right)
     return [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]

@@ -7,7 +7,7 @@ import pytest
 from mixsym import dualpair, hecke
 from mixsym.mms import InvalidInputError, build_space
 from mixsym.sl2 import GroupSpec
-from mixsym.zlattice import common_denominator, smith_invariants, snf
+from mixsym.zlattice import common_denominator, factor, smith_invariants, snf
 
 from _reference import det_rational, is_perfect_over, pairing_kernel
 
@@ -59,9 +59,8 @@ class TestGramMatrix:
         assert info["perfect_after_inverting"]
         primes = set()
         for f in info["invariants"]:
-            primes |= dualpair._prime_support(f.numerator)
-            primes |= dualpair._prime_support(f.denominator)
-        assert primes <= dualpair._prime_support(info["inverted"])
+            primes |= set(factor(f.numerator)) | set(factor(f.denominator))
+        assert primes <= set(factor(info["inverted"]))
 
     def test_kernel_empty(self):
         assert pairing_kernel(_pairing("gamma0", 11)) == []

@@ -21,8 +21,8 @@ from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul
 from mixsym.zlattice import (dense_rows, identity_matrix, quotient_by_rows, sparse_rows,
                              sublattice_index)
 
-from _reference import (assemble_relations_dense, homology_rows_schreier, mpow_t,
-                        pi_classical, reduce_pair_matrix_walk, reduce_to_ambient_by_word,
+from _reference import (assemble_relations_dense, coset_times_u, homology_rows_schreier,
+                        mpow_t, pi_classical, reduce_pair_matrix_walk, reduce_to_ambient_by_word,
                         sublattice_index_smith)
 
 # rank must equal 2*genus + 2*(cusps - 1)
@@ -73,18 +73,19 @@ class TestRelations:
 
 
 def _classical_relations(cosets):
-    """x + xS and x + xU + xU^2 on the coset generators, assembled directly."""
+    """x + xS and x + xU + xU^2 on the coset generators, assembled directly,
+    with U read from the matrix reps[i] * U."""
     n = cosets.index
     rows = []
     for i in range(n):
         row = [0] * n
         row[i] += 1
-        row[cosets.act(i, "S")] += 1
+        row[cosets.action["S"][i]] += 1
         rows.append(row)
     for i in range(n):
         row = [0] * n
-        j = cosets.act(i, "U")
-        k = cosets.act(j, "U")
+        j = coset_times_u(cosets, i)
+        k = coset_times_u(cosets, j)
         for m in (i, j, k):
             row[m] += 1
         rows.append(row)

@@ -323,7 +323,7 @@ def test_lambda_and_cycle_match_corner_symbol_route(family, level):
     basis = dualpair.dual_cuspless_basis(sp)
     assert basis
     for i in range(sp.n_manin):
-        assert sp.cosets.act(sp.cosets.act(i, "S"), "T") == _tau(sp, i)
+        assert sp.cosets.action["T"][sp.cosets.action["S"][i]] == _tau(sp, i)
     for phi in basis:
         lam = dualpair.lambda_from_dual(sp, phi)
         assert lam == lambda_reference(sp, phi)

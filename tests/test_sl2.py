@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import signal
 from functools import lru_cache
 from math import gcd
 
@@ -9,10 +10,11 @@ import pytest
 
 from mixsym.sl2 import (MAX_COSET_TABLE, GroupSpec, InvalidSpecError, MAT_ID,
                         MAT_S, MAT_T, MAT_TAU, MAT_U, cusp_table, det, enumerate_cosets,
-                        gamma0_with_lower_right, genus, gcdex,
-                        minus_id_in_group, minv, mmul, mneg)
+                        genus, gcdex, lift_bottom_row, minus_id_in_group, minv,
+                        mmul, mneg)
 
-from _reference import contains_by_family, mpow_t, stword_decompose, word_to_matrix
+from _reference import (contains_by_family, gamma0_with_lower_right, mpow_t,
+                        stword_decompose, word_to_matrix)
 
 
 def random_unimodular(rng, length=12):
@@ -123,6 +125,36 @@ CUSP_TABLE = {("gamma0", 5): 2, ("gamma0", 9): 4, ("gamma0", 11): 2,
               ("full", 1): 1}
 
 
+class TestLiftBottomRow:
+    def test_lifts_every_primitive_row(self):
+        for n in range(1, 31):
+            for c in range(n):
+                for d in range(n):
+                    if gcd(gcd(c, d), n) == 1:
+                        m = lift_bottom_row(n, c, d)
+                        assert det(m) == 1 and (m[2] - c) % n == (m[3] - d) % n == 0
+
+    def test_units_lift_to_gamma0(self):
+        for n in range(2, 31):
+            for d in _reference_units(n):
+                m = lift_bottom_row(n, 0, d)
+                assert GroupSpec("gamma0", n).contains(m) and (m[3] - d) % n == 0
+
+    def test_rejects_non_primitive_row(self):
+        """gcd(c, d, n) > 1 raises at once; the search over d + k*n never ends."""
+        def hung(*_):
+            raise AssertionError("lift_bottom_row did not return within 5 s")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            for n, c, d in ((4, 0, 2), (6, 3, 9), (5, 0, 0), (9, 6, 3)):
+                with pytest.raises(ValueError, match="not primitive"):
+                    lift_bottom_row(n, c, d)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+
 class TestCosets:
     @pytest.mark.parametrize("family,level", sorted(INDEX_TABLE))
     def test_index(self, family, level):
@@ -156,9 +188,10 @@ class TestCosets:
         for family, level in WITNESS_LEVELS:
             spec = GroupSpec(family, level)
             table = _table(family, level)
-            for name, gen in (("S", MAT_S), ("T", MAT_T), ("U", MAT_U)):
-                for i, rep in enumerate(table.reps):
-                    j = table.act(i, name)
+            s, t = table.action["S"], table.action["T"]
+            assert set(table.action) == {"S", "T"}
+            for gen, move in ((MAT_S, s), (MAT_T, t), (MAT_U, [s[j] for j in t])):
+                for rep, j in zip(table.reps, move):
                     assert spec.contains(mmul(rep, gen, minv(table.reps[j])))
 
 
@@ -251,8 +284,9 @@ def test_coset_tables_pinned():
     h = hashlib.sha256()
     for family, level in WITNESS_LEVELS:
         t = _table(family, level)
+        s = t.action["S"]
         h.update(repr((family, level, t.reps, t.index_of,
-                       [t.action[k] for k in "STU"])).encode())
+                       [s, t.action["T"], [s[j] for j in t.action["T"]]])).encode())
     assert h.hexdigest() == COSET_TABLES_DIGEST
 
 

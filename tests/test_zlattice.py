@@ -11,7 +11,7 @@ import pytest
 from mixsym import dualpair, sl2
 from mixsym.mms import _assemble_relations, build_space
 from mixsym.zlattice import (LatticeError, dense_rows, hnf, identity_matrix,
-                             kernel_basis, lcm_list, mat_mul, mat_transpose,
+                             kernel_basis, mat_mul, mat_transpose,
                              quotient_by_rows, smith_invariants, snf,
                              solve_rational, sparse_rows, sublattice_index,
                              vec_mat)
@@ -508,6 +508,16 @@ class TestIndexDetCharpoly:
         with pytest.raises(LatticeError, match="dimension mismatch"):
             sublattice_index(identity_matrix(2), [[1, 0, 0]])
 
+    @pytest.mark.parametrize("a, b", [([[0, 0]], [[0, 0], [0]]),
+                                      ([], [[0], [0, 0]]),
+                                      ([[0, 0], [0]], []),
+                                      ([[1], [1, 0]], [[1]])],
+                             ids=["zero-a", "empty-a", "ragged-a", "ragged-nonzero-a"])
+    def test_index_ragged_rows(self, a, b):
+        """Zero rows of unequal length, and an empty A, are still a mismatch."""
+        with pytest.raises(LatticeError, match="dimension mismatch"):
+            sublattice_index(a, b)
+
     def test_det(self):
         assert det_rational([[1, 2], [3, 4]]) == -2
         assert det_rational([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
@@ -521,9 +531,6 @@ class TestIndexDetCharpoly:
             assert c[-1] == 1
             assert c[0] == (-1) ** n * det_rational(a)
             assert -c[n - 1] == sum(a[i][i] for i in range(n))
-
-    def test_lcm(self):
-        assert lcm_list([4, 6, 10]) == 60
 
     def test_transpose_roundtrip(self):
         a = [[1, 2, 3], [4, 5, 6]]
