@@ -1,7 +1,7 @@
 """Floating-point verification layer for the Eisenstein period identities.
 
 Provides Dirichlet characters of odd prime-power modulus, Gauss sums, L(chi,1)
-by two independent routes, the log-cyclotomic matrices
+by the digamma series, the log-cyclotomic matrices
 
   M'  = (-log|1 - e^(2*pi*i*x^-1*y/p^n)|)            x, y in (Z/p^n)^x / +-1
   M'' = (M' entries + log|1 - e^(2*pi*i*x^-1/p^n)|)  x, y != +-1
@@ -44,9 +44,6 @@ class CharacterError(Exception):
 
 
 DEFAULT_TOL = 1e-8
-
-# the most terms the partial-sum L-value route adds up
-TERM_BUDGET = 1000000
 
 
 def _odd_prime_power(m):
@@ -93,26 +90,6 @@ class DirichletCharacter:
     def is_trivial(self):
         return self.index == 0 or self.modulus == 1
 
-    def primitive_part(self):
-        """The primitive character of modulus ``conductor`` inducing this one.
-
-        A character of prime-power modulus is constant on unit residues with
-        a common reduction modulo its conductor.  A unit b modulo f = p^e is
-        prime to p, so it is itself a unit modulo the modulus, and the
-        induced table is read off at b.
-        """
-        f = self.conductor
-        if f == self.modulus:
-            return self
-        if f == 1:
-            return DirichletCharacter(1, 0, {0: 1 + 0j}, 1, True)
-        vals = {}
-        for b in range(1, f):
-            if gcd(b, f) == 1:
-                vals[b] = self.values[b]
-        return DirichletCharacter(f, self.index * f // self.modulus
-                                  if self.modulus else 0, vals, f, self.is_even)
-
 
 def _unit_logs(m):
     """(p, n, phi, dlog) for m = p^n: dlog maps each unit g^k to k, in the
@@ -126,24 +103,6 @@ def _unit_logs(m):
         dlog[x] = k
         x = x * g % m
     return p, n, phi, dlog
-
-
-def characters_mod(m):
-    """All phi(m) Dirichlet characters of odd prime-power modulus m."""
-    if m == 1:
-        return [DirichletCharacter(1, 0, {0: 1 + 0j}, 1, True)]
-    p, n, phi, dlog = _unit_logs(m)
-    out = []
-    for j in range(phi):
-        vals = {u: cmath.exp(2j * cmath.pi * j * k / phi)
-                for u, k in dlog.items()}
-        # the units congruent to 1 mod p^e (e >= 1) are the powers of
-        # g^(phi / p^(n-e)), so chi_j is trivial on them exactly when p^(n-e)
-        # divides j
-        conductor = p ** (n - factor(j).get(p, 0)) if j else 1
-        # -1 = g^(phi/2), so chi_j(-1) = e^(pi*i*j) is 1 exactly for even j
-        out.append(DirichletCharacter(m, j, vals, conductor, j % 2 == 0))
-    return out
 
 
 def gauss_sum(chi):
@@ -162,15 +121,11 @@ def _additive_characters(f):
                  for a in range(1, f) if gcd(a, f) == 1)
 
 
-def l_even_char_at_1(chi, route="log"):
-    """L(chi, 1) for a primitive even nontrivial character.
+def l_even_char_at_1(chi):
+    """L(chi, 1) for a primitive even nontrivial character, as a complex double.
 
-    ``route="log"`` uses the log-cyclotomic closed form
-    -(tau(chi)/f) * sum of conj(chi)(a)*log|1-e^(2*pi*i*a/f)|; ``route="series"``
-    evaluates the Dirichlet series through the digamma closed form
-    -(1/f) * sum of chi(a)*psi(a/f); ``route="partial"`` sums the series
-    directly over period blocks with Richardson acceleration, truncated by
-    ``TERM_BUDGET``.  All values are complex doubles.
+    The Dirichlet series is evaluated through the digamma closed form
+    -(1/f) * sum of chi(a)*psi(a/f).
 
     The series sum runs in an integer kernel (``_series_totals``) on
     mantissa-exponent pairs at 103 bits, the precision of
@@ -187,21 +142,11 @@ def l_even_char_at_1(chi, route="log"):
     if chi.conductor != chi.modulus:
         raise CharacterError("requires a primitive character")
     f = chi.modulus
-    if route == "log":
-        tau = gauss_sum(chi)
-        s = sum(chi(a).conjugate() *
-                math.log(abs(1 - cmath.exp(2j * cmath.pi * a / f)))
-                for a in range(1, f) if gcd(a, f) == 1)
-        return -tau / f * s
-    if route == "series":
-        re, im = _series_totals(chi, _digamma_table(f))
-        total = (from_man_exp(*re), from_man_exp(*im))
-        val = mpc_div_mpf(mpc_neg(total, _PREC, round_nearest), from_int(f),
-                          _PREC, round_nearest)
-        return mpc_to_complex(val, rnd=round_nearest)
-    if route == "partial":
-        return _l_partial_sums(chi)
-    raise CharacterError(f"unknown route {route!r}")
+    re, im = _series_totals(chi, _digamma_table(f))
+    total = (from_man_exp(*re), from_man_exp(*im))
+    val = mpc_div_mpf(mpc_neg(total, _PREC, round_nearest), from_int(f),
+                      _PREC, round_nearest)
+    return mpc_to_complex(val, rnd=round_nearest)
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,33 +231,6 @@ def _part_total(xs, table):
     return sm, se
 
 
-def _l_partial_sums(chi):
-    """Sum of chi(n)/n over period blocks, Richardson-extrapolated.
-
-    Partial sums over K full periods have an asymptotic error expansion in
-    powers of 1/K, so iterated Richardson extrapolation on a geometric ladder
-    of truncation points converges far faster than the raw series.
-    """
-    f = chi.modulus
-    levels = 5
-    base = 64
-    while base * (2 ** (levels - 1)) * f > TERM_BUDGET and levels > 1:
-        levels -= 1
-
-    def partial(blocks):
-        total = 0j
-        for n in range(1, blocks * f + 1):
-            total += chi(n) / n
-        return total
-
-    s = [partial(base * (2 ** i)) for i in range(levels)]
-    for step in range(1, levels):
-        factor = 2 ** step
-        s = [(factor * s[i + 1] - s[i]) / (factor - 1)
-             for i in range(len(s) - 1)]
-    return s[0]
-
-
 @dataclass
 class NumericReport:
     """A two-sided floating-point identity check."""
@@ -327,17 +245,6 @@ class NumericReport:
     @property
     def passed(self):
         return self.rel_error <= self.tolerance
-
-    def to_dict(self):
-        return {"identity": self.identity, "pn": self.pn,
-                "lhs": _c2s(self.lhs), "rhs": _c2s(self.rhs),
-                "rel_error": self.rel_error, "tolerance": self.tolerance,
-                "pass": self.passed}
-
-
-def _c2s(z):
-    z = complex(z)
-    return z.real if abs(z.imag) < 1e-30 else [z.real, z.imag]
 
 
 def _half_units(m):
@@ -391,11 +298,13 @@ def _det(a):
 def _even_nontrivial_primitive_parts(pn):
     """The primitive parts of the even non-trivial characters mod pn.
 
-    Equal, field for field and in order, to ``chi.primitive_part()`` for the
-    even non-trivial ``chi`` of ``characters_mod(pn)``, the even indices j =
-    2, 4, ... < phi.  Each value is the same expression at the modulus pn,
-    evaluated only at the units below the conductor; no odd character and
-    no table modulo pn of an imprimitive one is built.
+    The character of index j takes the value e^(2*pi*i*j*k/phi) at the unit
+    g^k, for the even indices j = 2, 4, ... < phi.  Its conductor is
+    p^(n - v_p(j)), and an imprimitive one is evaluated only at the units
+    below the conductor: such a character is constant on the units with a
+    common reduction modulo the conductor, and a unit b modulo p^e is itself
+    a unit modulo pn.  No odd character and no table modulo pn of an
+    imprimitive one is built.
     """
     p, n, phi, dlog = _unit_logs(pn)
     out = []
@@ -412,8 +321,7 @@ def _even_nontrivial_product(pn):
     """prod over even chi != 1 mod pn of (f_chi/(2*tau(chi))) * L(chi,1)."""
     out = 1 + 0j
     for prim in _even_nontrivial_primitive_parts(pn):
-        out *= prim.modulus / (2 * gauss_sum(prim)) \
-            * l_even_char_at_1(prim, route="series")
+        out *= prim.modulus / (2 * gauss_sum(prim)) * l_even_char_at_1(prim)
     return out
 
 
@@ -469,9 +377,7 @@ def eis_component(pn, g, gprime, a, b):
 
     def f_value(ab):
         x, y = ab
-        if x % pn != 0:
-            return 0.0
-        return -math.log(abs(1 - cmath.exp(2j * cmath.pi * y / pn)))
+        return _log_entry(pn, y) if x % pn == 0 else 0.0
 
     left, right = row_act(g), row_act(gprime)
     real_part = f_value(right) - f_value(left)
@@ -480,19 +386,19 @@ def eis_component(pn, g, gprime, a, b):
     return real_part, residue
 
 
-def gamma0p_constants(p, bound=50):
+def gamma0p_constants(p):
     """Closed-form data of the Eisenstein series E on Gamma0(p).
 
     d = gcd(p-1, 12); n = (p-1)/d; the q-expansion is
-    a_0 = (p-1)/d and a_k = (24/d) * sum of divisors of k prime to p; the
-    L-value is the exact closed form -(12/d)*log(p).
+    a_0 = (p-1)/d and a_k = (24/d) * sum of divisors of k prime to p, listed
+    up to a_50; the L-value is the exact closed form -(12/d)*log(p).
     """
     if p < 3 or factor(p) != {p: 1}:
         raise UnsupportedModulusError("p must be an odd prime")
     d = gcd(p - 1, 12)
     n = (p - 1) // d
     coeffs = [Fraction(p - 1, d)]
-    for k in range(1, bound + 1):
+    for k in range(1, 51):
         s = sum(m for m in range(1, k + 1) if k % m == 0 and m % p != 0)
         coeffs.append(Fraction(24 * s, d))
     return {

@@ -7,15 +7,21 @@ reduce_pair, the coset translate found by search, the pairing's radical,
 its dense product and its perfectness over Z[1/n], the projection to the
 classical presentation, the T_q representatives with the twisted last one,
 the Fraction routes for the rational and composite Hecke operators, the
-mpc loop and finish for the digamma series, the homology rows from the
-Schreier generators, and the lattice index as a ratio of Smith invariants."""
+mpc loop and finish for the digamma series, all Dirichlet characters of an
+odd prime-power modulus with their primitive parts, L(chi, 1) by the
+log-cyclotomic closed form and by accelerated partial sums, the homology
+rows from the Schreier generators, and the lattice index as a ratio of Smith
+invariants."""
 
+import cmath
+import math
 from fractions import Fraction
 from math import gcd, inf, prod
 
 import mpmath
 
 from mixsym.dualpair import _units_after_inverting, fractional_invariants
+from mixsym.eis import DirichletCharacter, _unit_logs, gauss_sum
 from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
                         reduce_pair)
@@ -512,6 +518,84 @@ def series_finish_mpc(re, im, f):
     with mpmath.workdps(30):
         val = -mpmath.mpc(re, im) / f
     return complex(val)
+
+
+def characters_mod(m):
+    """All phi(m) Dirichlet characters of odd prime-power modulus m.
+
+    Character j maps the unit g^k to e^(2*pi*i*j*k/phi), for the primitive
+    root g of ``eis._unit_logs``; ``eis._even_nontrivial_primitive_parts``
+    builds the primitive parts of the even non-trivial ones directly.
+    """
+    if m == 1:
+        return [DirichletCharacter(1, 0, {0: 1 + 0j}, 1, True)]
+    p, n, phi, dlog = _unit_logs(m)
+    out = []
+    for j in range(phi):
+        vals = {u: cmath.exp(2j * cmath.pi * j * k / phi)
+                for u, k in dlog.items()}
+        # the units congruent to 1 mod p^e (e >= 1) are the powers of
+        # g^(phi / p^(n-e)), so chi_j is trivial on them exactly when p^(n-e)
+        # divides j
+        conductor = p ** (n - factor(j).get(p, 0)) if j else 1
+        # -1 = g^(phi/2), so chi_j(-1) = e^(pi*i*j) is 1 exactly for even j
+        out.append(DirichletCharacter(m, j, vals, conductor, j % 2 == 0))
+    return out
+
+
+def primitive_part(chi):
+    """The primitive character of modulus ``chi.conductor`` inducing chi.
+
+    A character of prime-power modulus is constant on unit residues with
+    a common reduction modulo its conductor.  A unit b modulo f = p^e is
+    prime to p, so it is itself a unit modulo the modulus, and the
+    induced table is read off at b.
+    """
+    f = chi.conductor
+    if f == chi.modulus:
+        return chi
+    if f == 1:
+        return DirichletCharacter(1, 0, {0: 1 + 0j}, 1, True)
+    vals = {b: chi.values[b] for b in range(1, f) if gcd(b, f) == 1}
+    return DirichletCharacter(f, chi.index * f // chi.modulus, vals, f, chi.is_even)
+
+
+def l_value_log(chi):
+    """L(chi, 1) of a primitive even nontrivial character by the
+    log-cyclotomic closed form -(tau(chi)/f) * sum of
+    conj(chi)(a)*log|1-e^(2*pi*i*a/f)|."""
+    f = chi.modulus
+    s = sum(chi(a).conjugate() * math.log(abs(1 - cmath.exp(2j * cmath.pi * a / f)))
+            for a in range(1, f) if gcd(a, f) == 1)
+    return -gauss_sum(chi) / f * s
+
+
+def l_value_partial(chi, budget=1_000_000):
+    """L(chi, 1) as the sum of chi(n)/n over period blocks, Richardson-extrapolated.
+
+    Partial sums over K full periods have an asymptotic error expansion in
+    powers of 1/K, so iterated Richardson extrapolation on a geometric ladder
+    of truncation points converges far faster than the raw series.  At most
+    ``budget`` terms are added up: the ladder drops its top rungs to fit.
+    """
+    f = chi.modulus
+    levels = 5
+    base = 64
+    while base * (2 ** (levels - 1)) * f > budget and levels > 1:
+        levels -= 1
+
+    def partial(blocks):
+        total = 0j
+        for n in range(1, blocks * f + 1):
+            total += chi(n) / n
+        return total
+
+    s = [partial(base * (2 ** i)) for i in range(levels)]
+    for step in range(1, levels):
+        factor = 2 ** step
+        s = [(factor * s[i + 1] - s[i]) / (factor - 1)
+             for i in range(len(s) - 1)]
+    return s[0]
 
 
 def sublattice_index_smith(gens_a, gens_b):

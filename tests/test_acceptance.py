@@ -159,7 +159,7 @@ def test_criterion_8_log_determinant_identities():
 def test_criterion_9_gamma0p_constants():
     ok = True
     for p in (5, 7, 11, 13):
-        data = eis.gamma0p_constants(p, bound=50)
+        data = eis.gamma0p_constants(p)
         d = math.gcd(p - 1, 12)
         ok = ok and data["d"] == d and data["n"] == (p - 1) // d
         for k in range(1, 51):

@@ -196,6 +196,19 @@ class TestExitCodes:
         assert code == 2
         assert "error: argument" in err and "Traceback" not in err
 
+    # 59049 = 3^10 asks for a 19683^2 M'; T_q at q = 10^9 + 7 sums over q + 1
+    # representatives; the 18-digit prime would take minutes to factor
+    @pytest.mark.parametrize("argv,bound", [
+        (["--suite", "eis", "--pn", "25,59049"], cli.MAX_PN),
+        (["--suite", "hecke", "--levels", "11", "--primes", "2,1000000007"], cli.MAX_PRIME),
+        (["--suite", "hecke", "--primes", "999999999999999989"], cli.MAX_PRIME),
+    ], ids=["pn-huge", "primes-huge", "primes-huge-unfactored"])
+    def test_value_above_its_bound_is_a_usage_error(self, argv, bound):
+        code, err = _exit(["verify"] + argv)
+        assert code == 2
+        assert f"error: argument {argv[-2]}: larger than the bound of {bound}" in err
+        assert "Traceback" not in err
+
     # raw text: json.dumps cannot write the nesting that makes json.load
     # raise RecursionError
     @pytest.mark.parametrize("text", [
@@ -437,8 +450,10 @@ def _verify_argv(draw):
             "--family", draw(_FAMILIES)]
     for flag, values in (
             ("--levels", _listed(_LEVELS, max_size=2)),
-            ("--primes", _listed(st.sampled_from([2, 3, 5, 7, 11, 13, 1, 4, -3]))),
-            ("--pn", _listed(st.sampled_from([3, 5, 7, 9, 25, 27, 1, 15, -3]))),
+            ("--primes", _listed(st.sampled_from([2, 3, 5, 7, 11, 13, 1, 4, -3,
+                                                  cli.MAX_PRIME + 3]))),
+            ("--pn", _listed(st.sampled_from([3, 5, 7, 9, 25, 27, 1, 15, -3,
+                                              cli.MAX_PN + 9]))),
             ("--tol", st.one_of(st.floats(1e-12, 1.0), st.floats(allow_nan=True)).map(repr))):
         argv += _sometimes(draw, flag, values)
     return argv + _sometimes(draw, "--out", _OUT_PATHS, junk=_OUT_JUNK)
@@ -483,8 +498,8 @@ _FUZZ_IMPORT = _fuzzer(_IMPORT_PATHS.map(lambda path: ["import", path]), 20)
 class TestContractFuzz:
     """verify, export and import exit 0-3 without a traceback on drawn argvs:
     unknown families, levels that are not positive integers or lie past the
-    table bound, empty and junk lists, missing paths and a directory as
-    --out or as the import path."""
+    table bound, primes and prime powers past their bounds, empty and junk
+    lists, missing paths and a directory as --out or as the import path."""
 
     def test_exit_code_and_no_traceback(self, fuzz_dir):
         _FUZZ_VERIFY(fuzz_dir)

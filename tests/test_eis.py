@@ -14,13 +14,13 @@ from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_add, mpf_mul,
 from mixsym import eis
 
 from mixsym.eis import (CharacterError, UnsupportedModulusError, bernoulli2,
-                        characters_mod, eis_component, gamma0p_constants,
-                        gauss_sum, l_even_char_at_1, log_cyclotomic_matrices,
-                        logdet_identity)
+                        eis_component, gamma0p_constants, gauss_sum,
+                        l_even_char_at_1, log_cyclotomic_matrices, logdet_identity)
 from mixsym.sl2 import MAT_ID, MAT_S, MAT_T, mmul
 from mixsym.zlattice import factor
 
-from _reference import digamma_mpf, series_finish_mpc, series_total_mpc
+from _reference import (characters_mod, digamma_mpf, l_value_log, l_value_partial,
+                        primitive_part, series_finish_mpc, series_total_mpc)
 
 
 class TestCharacters:
@@ -42,7 +42,7 @@ class TestCharacters:
         # 4 characters factor through modulus 5 (conductor 1 or 5)
         assert conds == [1, 5, 5, 5] + [25] * 16
         for chi in characters_mod(25):
-            prim = chi.primitive_part()
+            prim = primitive_part(chi)
             assert prim.modulus == chi.conductor
             for a in range(1, 25):
                 if math.gcd(a, 25) == 1:
@@ -56,9 +56,12 @@ class TestCharacters:
         for m in (8, 12, 15):
             with pytest.raises(UnsupportedModulusError):
                 characters_mod(m)
+            with pytest.raises(UnsupportedModulusError):
+                logdet_identity(m)
 
     def test_even_primitive_parts_built_directly(self):
-        """The direct primitive parts equal those read off characters_mod,
+        """The direct primitive parts equal the reference primitive parts of
+        the even non-trivial characters of the reference characters_mod,
         field for field (value dicts by ==, so bit for bit), at every odd
         prime power up to 400."""
         moduli = [m for m in range(3, 401, 2) if len(factor(m)) == 1]
@@ -66,7 +69,7 @@ class TestCharacters:
         for m in moduli:
             chars = characters_mod(m)
             direct = eis._even_nontrivial_primitive_parts(m)
-            assert direct == [c.primitive_part() for c in chars
+            assert direct == [primitive_part(c) for c in chars
                               if c.is_even and not c.is_trivial], m
             assert len(direct) == len(chars) // 2 - 1
 
@@ -88,9 +91,9 @@ class TestGaussAndL:
         for chi in characters_mod(m):
             if chi.is_trivial or not chi.is_even or chi.conductor != m:
                 continue
-            v_log = l_even_char_at_1(chi, route="log")
-            v_ser = l_even_char_at_1(chi, route="series")
-            v_par = l_even_char_at_1(chi, route="partial")
+            v_log = l_value_log(chi)
+            v_ser = l_even_char_at_1(chi)
+            v_par = l_value_partial(chi)
             assert abs(v_log) > 1e-3  # nonvanishing at s = 1
             assert abs(v_log - v_ser) < 1e-8 * abs(v_ser)
             assert abs(v_par - v_ser) < 1e-8 * abs(v_ser)
@@ -103,16 +106,16 @@ class TestGaussAndL:
             l_even_char_at_1(trivial)
         with pytest.raises(CharacterError):
             l_even_char_at_1(odd)
-        even = next(c for c in chars if c.is_even and not c.is_trivial)
+        imprimitive = next(c for c in characters_mod(25)
+                           if c.is_even and c.conductor == 5)
         with pytest.raises(CharacterError):
-            l_even_char_at_1(even, route="bogus")
+            l_even_char_at_1(imprimitive)
 
-    def test_partial_route_respects_term_budget(self, monkeypatch):
-        monkeypatch.setattr(eis, "TERM_BUDGET", 2000)
+    def test_partial_route_respects_term_budget(self):
         chi = next(c for c in characters_mod(5)
                    if c.is_even and not c.is_trivial)
-        v = l_even_char_at_1(chi, route="partial")
-        ref = l_even_char_at_1(chi, route="series")
+        v = l_value_partial(chi, budget=2000)
+        ref = l_even_char_at_1(chi)
         assert abs(v - ref) < 1e-4 * abs(ref)
 
 
@@ -139,17 +142,17 @@ class TestDigammaTable:
         chars = _primitive_even(m)
         assert chars
         for chi in chars:
-            assert l_even_char_at_1(chi, route="series") == _series_reference(chi)
+            assert l_even_char_at_1(chi) == _series_reference(chi)
 
     def test_cache_hit_across_moduli(self):
         eis._digamma_table.cache_clear()
-        alone = [l_even_char_at_1(c, route="series") for c in _primitive_even(13)]
+        alone = [l_even_char_at_1(c) for c in _primitive_even(13)]
         eis._digamma_table.cache_clear()
         for chi in characters_mod(169):
             if chi.is_even and not chi.is_trivial:
-                l_even_char_at_1(chi.primitive_part(), route="series")
+                l_even_char_at_1(primitive_part(chi))
         assert eis._digamma_table.cache_info().currsize == 2
-        after = [l_even_char_at_1(c, route="series") for c in _primitive_even(13)]
+        after = [l_even_char_at_1(c) for c in _primitive_even(13)]
         assert after == alone
         assert alone == [_series_reference(c) for c in _primitive_even(13)]
 
@@ -274,7 +277,7 @@ class TestSeriesTotals:
         for chi in _primitive_even(m):
             re, im = eis._series_totals(chi, table)
             want = series_finish_mpc(_mpf(re), _mpf(im), m)
-            got = l_even_char_at_1(chi, route="series")
+            got = l_even_char_at_1(chi)
             assert struct.pack("<dd", got.real, got.imag) == \
                 struct.pack("<dd", want.real, want.imag)
 
@@ -340,8 +343,8 @@ class TestLogDeterminants:
         r1, r2 = logdet_identity(pn, tol=1e-8)
         assert r1.passed and r2.passed
         assert abs(complex(r1.lhs)) > 0 and abs(complex(r2.lhs)) > 0
-        d = r1.to_dict()
-        assert d["pass"] and d["identity"] == "det(M')"
+        assert (r1.identity, r2.identity) == ("det(M')", "det(M'')")
+        assert (r1.pn, r2.pn, r1.tolerance) == (pn, pn, 1e-8)
 
     def test_trivial_factor_is_half_log_p(self):
         r1, r2 = logdet_identity(7)
