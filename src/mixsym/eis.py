@@ -17,6 +17,12 @@ closed-form Eisenstein constants on Gamma0(p).  The matrices are lists of
 float rows, and their determinants come from Gaussian elimination with
 partial pivoting in plain floats (``_det``).
 
+L(chi,1) = -(1/f) * sum of chi(a)*psi(a/f) needs no library beyond the
+standard one: psi(a/f) comes from Gauss's digamma theorem, evaluated in
+integer fixed point and kept per conductor as psi(a/f) * 2**160 rounded to
+an int (``_digamma_table``), and each part of the sum is one exact integer
+dot product with chi's parts scaled by 2**128, rounded to a double once.
+
 Nonvanishing of both determinants is the numerical witness that the period
 map of the symbol lattice becomes an isomorphism over R at prime-power level.
 """
@@ -27,10 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-import mpmath
-from mpmath.libmp import (from_int, from_man_exp, mpc_div_mpf, mpc_neg,
-                          mpc_to_complex, round_nearest)
+from operator import mul
 
 from .zlattice import factor
 
@@ -127,108 +130,114 @@ def l_even_char_at_1(chi):
     The Dirichlet series is evaluated through the digamma closed form
     -(1/f) * sum of chi(a)*psi(a/f).
 
-    The series sum runs in an integer kernel (``_series_totals``) on
-    mantissa-exponent pairs at 103 bits, the precision of
-    ``mpmath.workdps(30)``.  Each product chi(a)*psi(a/f) and each partial
-    sum is rounded to nearest with ties to even, one real and one imaginary
-    part at a time, exactly where an mpc loop at 30 digits rounds.  A
-    correctly rounded result is unique, so every intermediate value, and the
-    returned complex, is bit-identical to that loop's.  The negation, the
-    division by f and the conversion to complex are the libmp calls that
-    mpc arithmetic at 30 digits makes, so no mpc object is built.
+    Each part of chi(a), real and imaginary, is scaled by 2**128 and read
+    as an int: exactly for every |x| >= 2**-76, and less than 2**-128 off
+    below that.  Its dot product with the table's psi(a/f) * 2**160 is then
+    an exact integer, and each part of L(chi, 1) is that sum divided by
+    -f * 2**288 in one correctly rounded int/int division, the only
+    rounding after the table's.
     """
     if chi.is_trivial or not chi.is_even:
         raise CharacterError("requires a nontrivial even character")
     if chi.conductor != chi.modulus:
         raise CharacterError("requires a primitive character")
     f = chi.modulus
-    re, im = _series_totals(chi, _digamma_table(f))
-    total = (from_man_exp(*re), from_man_exp(*im))
-    val = mpc_div_mpf(mpc_neg(total, _PREC, round_nearest), from_int(f),
-                      _PREC, round_nearest)
-    return mpc_to_complex(val, rnd=round_nearest)
+    table = _digamma_table(f)
+    psis = [psi for _, psi in table]
+    zs = [chi.values[a] for a, _ in table]
+    re = sum(map(mul, [int(z.real * 2.0**128) for z in zs], psis))
+    im = sum(map(mul, [int(z.imag * 2.0**128) for z in zs], psis))
+    d = f << 288
+    return complex(-re / d, -im / d)
+
+
+# Fixed point for the digamma table: an int x stands for x * 2**-_W.  pi,
+# Euler's gamma and ln 2 are rounded to the nearest int at this scale.
+_W = 224
+_PI = 0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa99
+_GAMMA = 0x93c467e37db0c7a4d1be3f810152cb56a1cecc3af65cc0190c03df34
+_LN2 = 0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175c
+
+
+def _cos_sin_pi_over(f):
+    """Lists of cos(pi*m/f) and sin(pi*m/f) for m < 2f, at scale 2**_W.
+
+    cos and sin of pi/f come from their Taylor series, and each further
+    angle from the one before by a rotation through pi/f.
+    """
+    one = 1 << _W
+    x = _PI // f
+    c1 = s1 = 0
+    term, n = one, 0
+    while term:  # term = x**n / n!
+        if n % 2:
+            s1 += -term if n % 4 == 3 else term
+        else:
+            c1 += -term if n % 4 == 2 else term
+        n += 1
+        term = (term * x >> _W) // n
+    cos, sin = [one], [0]
+    for _ in range(2 * f - 1):
+        c, s = cos[-1], sin[-1]
+        cos.append((c * c1 - s * s1) >> _W)
+        sin.append((s * c1 + c * s1) >> _W)
+    return cos, sin
+
+
+def _ln(x):
+    """ln(x * 2**-_W) at scale 2**_W, for an int x > 0.
+
+    x = 2**e * y with y * 2**-_W in [sqrt(1/2), sqrt(2)), and
+    ln(y) = 2*atanh(t) = 2*(t + t**3/3 + t**5/5 + ...) with t = (y-1)/(y+1),
+    so |t| < 0.172 and each term gains more than 5 bits.  The series runs
+    on |t|, since atanh is odd.
+    """
+    one = 1 << _W
+    e = x.bit_length() - 1 - _W
+    y = x >> e if e >= 0 else x << -e
+    if y * y > 2 << 2 * _W:
+        y >>= 1
+        e += 1
+    t = (abs(y - one) << _W) // (y + one)
+    t2 = t * t >> _W
+    total, power, j = 0, t, 1
+    while power:
+        total += power // j
+        power = power * t2 >> _W
+        j += 2
+    return (2 * total if y > one else -2 * total) + e * _LN2
 
 
 @functools.lru_cache(maxsize=None)
 def _digamma_table(f):
-    """psi(a/f) at 30 digits for each unit a modulo f, in increasing order of a.
+    """(a, psi(a/f) * 2**160) for each unit a modulo f, in increasing order of a.
 
-    Entries are triples (a, man, exp) with psi(a/f) = man * 2**exp exactly,
-    man a signed int of at most 103 bits, read off the mpf.  The values
-    depend on the conductor alone, so all characters of conductor f share
-    one table.
+    Each psi(a/f) * 2**160 is rounded to an int.  It comes from Gauss's
+    digamma theorem (DLMF 5.4.19): for 0 < a < f,
+
+      psi(a/f) = -gamma - ln(2f) - (pi/2)*cot(pi*a/f)
+                 + 2 * sum over 1 <= k <= (f-1)/2 of cos(2*pi*k*a/f) * ln sin(pi*k/f),
+
+    evaluated in integer fixed point at scale 2**_W, the cosine sum as one
+    exact dot product.  That sum is the same at a and f - a and the cot
+    term changes sign, so each pair shares one sum.  The values depend on
+    the conductor alone, so all characters of conductor f share one table.
     """
-    table = []
-    with mpmath.workdps(30):
-        for a in range(1, f):
-            if gcd(a, f) == 1:
-                sign, man, exp, _ = mpmath.digamma(mpmath.mpf(a) / f)._mpf_
-                table.append((a, -man if sign else man, exp))
-    return table
-
-
-# mpmath.workdps(30) computes at this many bits, rounding to nearest with
-# ties to even.
-_PREC = 103
-
-
-def _series_totals(chi, table):
-    """sum over the table of chi(a) * psi(a/f), as (real pair, imaginary pair).
-
-    A pair (man, exp) stands for man * 2**exp, man a signed int and 0 for
-    zero.  Term by term this is mpmath's ``total += mpc(chi(a)) * psi``; the
-    real and imaginary accumulations are independent, so each part is summed
-    by its own loop (``_part_total``).
-    """
-    zs = [chi.values[a] for a, _, _ in table]
-    return (_part_total([z.real for z in zs], table),
-            _part_total([z.imag for z in zs], table))
-
-
-def _part_total(xs, table):
-    """sum of x * psi over xs and the table, as mpf_mul and mpf_add at 103 bits.
-
-    Each double x is read exactly as a 53-bit mantissa off ``math.frexp``;
-    its product with psi = pm * 2**pe and each running sum are formed
-    exactly and rounded once to ``_PREC`` bits, to nearest with ties to even.
-    A zero part adds nothing.  The sum is mpf_add's whenever neither operand
-    has more than 103 bits, as here: on wider operands mpf_add may stand in
-    for a far smaller addend with one unit 107 bits below the larger
-    operand's last bit, which can round the other way.
-    """
-    frexp = math.frexp
-    sm = se = 0
-    for x, (_, pm, pe) in zip(xs, table):
-        if not x:
-            continue
-        m, e = frexp(x)
-        man = int(m * 9007199254740992.0) * pm
-        exp = e - 53 + pe
-        n = man.bit_length() - _PREC
-        if n > 0:
-            half = 1 << (n - 1)
-            q = (man + half) >> n
-            if q & 1 and man & (2 * half - 1) == half:
-                q -= 1
-            man = q
-            exp += n
-        if sm:
-            d = se - exp
-            if d >= 0:
-                man += sm << d
-            else:
-                man = sm + (man << -d)
-                exp = se
-            n = man.bit_length() - _PREC
-            if n > 0:
-                half = 1 << (n - 1)
-                q = (man + half) >> n
-                if q & 1 and man & (2 * half - 1) == half:
-                    q -= 1
-                man = q
-                exp += n
-        sm, se = man, exp
-    return sm, se
+    cos, sin = _cos_sin_pi_over(f)
+    cos2 = cos[::2]  # cos(2*pi*m/f) for m < f
+    ks = range(1, (f + 1) // 2)
+    lns = [_ln(sin[k]) for k in ks]
+    base = -_GAMMA - _ln(2 * f << _W)
+    psi = {}
+    for a in range(1, (f + 1) // 2):
+        if gcd(a, f) == 1:
+            dot = sum(map(mul, [cos2[k * a % f] for k in ks], lns))
+            rest = base + (dot >> (_W - 1))
+            half_cot = _PI * ((cos[a] << _W) // sin[a]) >> (_W + 1)
+            psi[a] = rest - half_cot
+            psi[f - a] = rest + half_cot
+    half = 1 << (_W - 161)
+    return tuple((a, (psi[a] + half) >> (_W - 160)) for a in sorted(psi))
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import errno
+import hashlib
 import io
 import json
 import os
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixsym
-from mixsym import cli
+from mixsym import cli, eis
 from mixsym.cli import main
+
+from test_golden import REPORT_DIGESTS
 
 
 def _run(capsys, argv):
@@ -124,6 +127,24 @@ class TestVerify:
         assert any(i["id"] == "det(M')/9" for i in items)
         assert any(i["id"] == "gamma0p-constants/5" for i in items)
         assert all(i["status"] == "pass" for i in items)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 6, 25, 27, 32, 47, 49, 50])
+    def test_gamma0p_item_fails_on_one_wrong_coefficient(self, monkeypatch, k):
+        real = eis.gamma0p_constants
+
+        def off_by_one(p):
+            data = real(p)
+            data["coefficients"][k] += 1
+            return data
+
+        def status():
+            rep = cli.Reporter("eis")
+            cli.suite_eis(rep, pn_list=[5], tol=1e-8)
+            return {i["id"]: i["status"] for i in rep.items}["gamma0p-constants/5"]
+
+        assert status() == "pass"
+        monkeypatch.setattr(eis, "gamma0p_constants", off_by_one)
+        assert status() == "fail"
 
     def test_markdown_format(self, capsys):
         code, out, _ = _run(capsys, ["verify", "--suite", "rank",
@@ -519,18 +540,34 @@ class TestContractFuzz:
             _FUZZ_IMPORT(fuzz_dir)
 
 
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports mixsym from this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mixsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+
+
 def test_cli_import_loads_no_other_third_party_package():
-    """The float layer runs on plain floats: the only dependency is mpmath.
+    """The package runs on the standard library alone.
 
     A fresh interpreter imports ``mixsym.cli``; every top-level module that
-    this import adds must be in the standard library, ``mixsym``, ``mpmath``
-    or the gmpy backend that mpmath loads where it is installed.
+    this import adds must be in the standard library or be ``mixsym``.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mixsym.__file__)))
     code = ("import sys; before = set(sys.modules); import mixsym.cli; "
             "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(*sorted(added - set(sys.stdlib_module_names)))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert set(out.split()) <= {"mixsym", "mpmath", "gmpy", "gmpy2"}, out
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [b"mixsym"], run.stdout
+
+
+def test_eis_suite_runs_without_mpmath():
+    """With mpmath made unimportable, the eis suite exits 0 and its stdout
+    is byte-identical to the pinned report."""
+    argv = ("verify", "--suite", "eis", "--pn", "27,49,81,121,125,169")
+    code = ("import sys; sys.modules['mpmath'] = None; "
+            "from mixsym.cli import main; "
+            f"sys.exit(main({list(argv)!r}))")
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == REPORT_DIGESTS[argv]

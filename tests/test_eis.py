@@ -1,15 +1,12 @@
 """Dirichlet characters, L-values, and the log-cyclotomic determinant identities."""
 
 import cmath
+import functools
 import math
-import struct
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
-from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_add, mpf_mul,
-                          mpf_pos)
 
 from mixsym import eis
 
@@ -119,16 +116,15 @@ class TestGaussAndL:
         assert abs(v - ref) < 1e-4 * abs(ref)
 
 
+_digamma_30 = functools.lru_cache(maxsize=None)(digamma_mpf)
+
+
 def _series_reference(chi):
-    """L(chi, 1) by the digamma series with one digamma call per term."""
+    """L(chi, 1) by the digamma series: -(1/f) * sum of chi(a)*psi(a/f),
+    added up term by term in mpc at 30 digits, psi by mpmath.digamma."""
     f = chi.modulus
-    with mpmath.workdps(30):
-        total = mpmath.mpc(0)
-        for a in range(1, f):
-            if math.gcd(a, f) == 1:
-                total += mpmath.mpc(chi(a)) * mpmath.digamma(mpmath.mpf(a) / f)
-        val = -total / f
-    return complex(val)
+    total = series_total_mpc(chi, _digamma_30(f))
+    return series_finish_mpc(total.real, total.imag, f)
 
 
 def _primitive_even(m):
@@ -136,8 +132,35 @@ def _primitive_even(m):
             and c.conductor == m]
 
 
+# every odd prime power up to 200, so every conductor of those moduli; 729,
+# the largest p^n whose determinants stay in range; and 997, the largest
+# conductor --pn accepts
+_TABLE_MODULI = [m for m in range(3, 201, 2) if len(factor(m)) == 1] + [729, 997]
+
+
 class TestDigammaTable:
-    @pytest.mark.parametrize("m", [25, 27, 49, 125])
+    def test_constants_against_mpmath(self):
+        """pi, Euler's gamma and ln 2 are the nearest ints at scale 2**_W."""
+        assert eis._W >= 200
+        with mpmath.workdps(120):
+            for const, x in ((eis._PI, mpmath.pi), (eis._GAMMA, mpmath.euler),
+                             (eis._LN2, mpmath.ln2)):
+                assert abs(const - x * 2**eis._W) <= 0.5
+
+    @pytest.mark.parametrize("f", _TABLE_MODULI)
+    def test_table_against_mpmath_digamma(self, f):
+        """Every entry is psi(a/f) * 2**160 within 2**-140, against
+        mpmath.digamma at 60 digits, at every unit a modulo f."""
+        table = eis._digamma_table(f)
+        assert [a for a, _ in table] == [a for a in range(1, f) if math.gcd(a, f) == 1]
+        with mpmath.workdps(60):
+            bound = mpmath.mpf(2) ** -140
+            for a, psi in table:
+                err = mpmath.mpf(psi) / 2**160 - mpmath.digamma(mpmath.mpf(a) / f)
+                assert abs(err) < bound, (f, a, float(err))
+
+    @pytest.mark.parametrize(
+        "m", [5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169, 97])
     def test_series_bit_identical_to_per_term_digamma(self, m):
         chars = _primitive_even(m)
         assert chars
@@ -155,131 +178,6 @@ class TestDigammaTable:
         after = [l_even_char_at_1(c) for c in _primitive_even(13)]
         assert after == alone
         assert alone == [_series_reference(c) for c in _primitive_even(13)]
-
-
-def _mpf(pair):
-    """The mpf of a kernel pair (man, exp), normalised without rounding."""
-    return from_man_exp(*pair)
-
-
-def _kernel(terms):
-    """The kernel's total of x * psi over terms (x, (man, exp)), as an mpf."""
-    table = [(a, man, exp) for a, (_, (man, exp)) in enumerate(terms, 1)]
-    return _mpf(eis._part_total([x for x, _ in terms], table))
-
-
-def _product(x, psi):
-    """x * psi by mpmath at 103 bits, rounding 'n'."""
-    return mpf_mul(from_float(x), _mpf(psi), 103, "n")
-
-
-_WIDE = st.integers(-(2**200 - 1), 2**200 - 1)
-_NARROW = st.integers(-(2**103 - 1), 2**103 - 1)
-_EXP = st.integers(-300, 300)
-_GAP = st.integers(-400, 400)
-_KEPT = st.integers(2**101, 2**102 - 1)  # 102 bits; 2*k + parity has 103
-_SHIFT = st.integers(1, 300)
-_THIRD = st.integers(2**103 // 6 + 1, 2**102 - 1)  # 3 * (2*t + 1) has 104 bits
-# every finite double, and the range of a character's parts
-_DOUBLE = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1, 1)
-
-
-class TestRoundingKernel:
-    """The fused kernel ``_part_total`` against mpmath's mul and add at 103
-    bits, rounding 'n': a one-term table rounds one product, a two-term
-    table one product, one more product and their sum."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_DOUBLE, _WIDE | st.just(0), _EXP)
-    def test_mul_matches_mpf_mul(self, x, pm, pe):
-        assert _kernel([(x, (pm, pe))]) == _product(x, (pm, pe))
-
-    @settings(max_examples=300, deadline=None)
-    @given(_DOUBLE, _NARROW | st.just(0), _EXP, _DOUBLE, _NARROW | st.just(0), _GAP)
-    def test_add_matches_mpf_add(self, x, pm, pe, y, qm, gap):
-        # table mantissas of at most 103 bits, as psi's are
-        a, b = (pm, pe), (qm, pe + gap)
-        assert _kernel([(x, a), (y, b)]) == \
-            mpf_add(_product(x, a), _product(y, b), 103, "n")
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(_DOUBLE, _WIDE | st.just(0), _EXP), max_size=6))
-    def test_add_is_the_exact_sum_rounded(self, terms):
-        # any mantissa width: each running sum is formed exactly, then
-        # rounded once by mpmath's rounding
-        total = fzero
-        for x, pm, pe in terms:
-            if x:
-                exact = mpf_add(total, _product(x, (pm, pe)))
-                total = mpf_pos(exact, 103, "n")
-        assert _kernel([(x, (pm, pe)) for x, pm, pe in terms]) == total
-
-    @settings(max_examples=200, deadline=None)
-    @given(_KEPT, st.sampled_from([0, 1]), st.sampled_from([1, -1]), _SHIFT, _EXP,
-           _THIRD)
-    def test_exact_ties(self, k, parity, sign, n, e, t):
-        kept = 2 * k + parity  # 103 bits, last kept bit = parity
-        rounded = _mpf((sign * (kept + parity), e + n))  # the even neighbour
-        # the tie as a product: 1.0 times a mantissa with n dropped bits
-        man = sign * ((kept << n) + (1 << (n - 1)))
-        assert _kernel([(1.0, (man, e))]) == rounded == _product(1.0, (man, e))
-        # 3.0 times an odd 103-bit mantissa: 104 bits, the dropped one a 1
-        odd = 2 * t + 1
-        low = 3 * odd >> 1
-        even = _mpf((sign * (low + low % 2), e + 1))
-        assert _kernel([(3.0, (sign * odd, e))]) == even == \
-            _product(3.0, (sign * odd, e))
-        # as a sum of two exact 103-bit products
-        a, b = (sign * kept, e + n), (sign, e + n - 1)
-        assert _kernel([(1.0, a), (1.0, b)]) == rounded == \
-            mpf_add(_mpf(a), _mpf(b), 103, "n")
-
-    def test_exact_zeros(self):
-        one, five = (1, 0), (5, -3)
-        # a zero part is skipped, whatever its psi
-        assert _kernel([(0.0, five), (-0.0, (7, 900))]) == fzero
-        assert _kernel([(0.0, (3, 9)), (1.0, one), (-0.0, (1, -900))]) == \
-            _mpf(one)
-        # a zero psi, and a sum that cancels, leave nothing behind
-        assert _kernel([(1.0, (0, 5)), (2.0, one)]) == _mpf((2, 0))
-        assert _kernel([(1.0, five), (-1.0, five)]) == fzero
-        assert _kernel([(1.0, five), (-1.0, five), (0.5, (3, 600))]) == \
-            _mpf((3, 599))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_double_is_exact(self, x):
-        man, exp = eis._part_total([x], [(1, 1, 0)])
-        assert abs(man).bit_length() <= 53
-        assert _mpf((man, exp)) == from_float(x)
-
-
-class TestSeriesTotals:
-    @pytest.mark.parametrize(
-        "m", [5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169, 97])
-    def test_totals_equal_mpc_loop(self, m):
-        """The 103-bit totals, not only the final doubles, equal the mpc loop's."""
-        psi = digamma_mpf(m)
-        table = eis._digamma_table(m)
-        assert [(a, _mpf((man, exp))) for a, man, exp in table] == \
-            [(a, v._mpf_) for a, v in psi.items()]
-        chars = _primitive_even(m)
-        assert chars
-        for chi in chars:
-            re, im = eis._series_totals(chi, table)
-            assert (_mpf(re), _mpf(im)) == series_total_mpc(chi, psi)._mpc_
-
-    @pytest.mark.parametrize(
-        "m", [5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169, 97])
-    def test_finish_equals_mpc_finish(self, m):
-        """-total / f by libmp equals the mpc arithmetic at 30 digits, bit for bit."""
-        table = eis._digamma_table(m)
-        for chi in _primitive_even(m):
-            re, im = eis._series_totals(chi, table)
-            want = series_finish_mpc(_mpf(re), _mpf(im), m)
-            got = l_even_char_at_1(chi)
-            assert struct.pack("<dd", got.real, got.imag) == \
-                struct.pack("<dd", want.real, want.imag)
 
 
 def _matrices_reference(pn):
