@@ -497,16 +497,16 @@ def hecke_composite_fractions(space, m):
     return out
 
 
-def digamma_mpf(f):
-    """psi(a/f) as an mpf at 30 digits for each unit a modulo f."""
-    with mpmath.workdps(30):
+def digamma_mpf(f, dps=30):
+    """psi(a/f) as an mpf at ``dps`` digits for each unit a modulo f."""
+    with mpmath.workdps(dps):
         return {a: mpmath.digamma(mpmath.mpf(a) / f)
                 for a in range(1, f) if gcd(a, f) == 1}
 
 
-def series_total_mpc(chi, psi):
-    """sum of chi(a) * psi[a] added up term by term in mpc at 30 digits."""
-    with mpmath.workdps(30):
+def series_total_mpc(chi, psi, dps=30):
+    """sum of chi(a) * psi[a] added up term by term in mpc at ``dps`` digits."""
+    with mpmath.workdps(dps):
         total = mpmath.mpc(0)
         for a, psi_a in psi.items():
             total += mpmath.mpc(chi(a)) * psi_a

@@ -3,6 +3,7 @@
 import cmath
 import functools
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -178,6 +179,46 @@ class TestDigammaTable:
         after = [l_even_char_at_1(c) for c in _primitive_even(13)]
         assert after == alone
         assert alone == [_series_reference(c) for c in _primitive_even(13)]
+
+
+def _integer_totals(chi):
+    """The exact sums of int(x * 2**128) * psi over the table, x each part of
+    chi(a): the two integers that l_even_char_at_1 divides by -f * 2**288."""
+    table = eis._digamma_table(chi.modulus)
+    re = sum(int(chi.values[a].real * 2.0**128) * psi for a, psi in table)
+    im = sum(int(chi.values[a].imag * 2.0**128) * psi for a, psi in table)
+    return re, im
+
+
+class TestSeriesTotals:
+    @pytest.mark.parametrize(
+        "m", [5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169, 97])
+    def test_totals_equal_mpc_loop(self, m):
+        """The integer totals, scaled by 2**-288, are within 2**-100 of the
+        mpc loop at 60 digits: the scaling of chi(a) by 2**128 loses less
+        than 2**-128 * |psi| per term, and the table less than 2**-140."""
+        psi = digamma_mpf(m, dps=60)
+        chars = _primitive_even(m)
+        assert chars
+        for chi in chars:
+            re, im = _integer_totals(chi)
+            want = series_total_mpc(chi, psi, dps=60)
+            with mpmath.workdps(60):
+                got = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)) / 2**288
+                assert abs(got - want) < mpmath.mpf(2) ** -100, (m, chi.index)
+
+    @pytest.mark.parametrize(
+        "m", [5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 169, 97])
+    def test_finish_equals_mpc_finish(self, m):
+        """-total / (f * 2**288) by Python's int/int division equals libmp's
+        correctly rounded 53-bit division of the same exact totals, bit for bit."""
+        for chi in _primitive_even(m):
+            want = [mpmath.libmp.to_float(mpmath.libmp.mpf_div(
+                        mpmath.libmp.from_man_exp(-t, -288),
+                        mpmath.libmp.from_int(m), 53, mpmath.libmp.round_nearest))
+                    for t in _integer_totals(chi)]
+            got = l_even_char_at_1(chi)
+            assert struct.pack("<dd", got.real, got.imag) == struct.pack("<dd", *want)
 
 
 def _matrices_reference(pn):
