@@ -400,22 +400,23 @@ def gamma0p_constants(p):
 
     d = gcd(p-1, 12); n = (p-1)/d; the q-expansion is
     a_0 = (p-1)/d and a_k = (24/d) * sum of divisors of k prime to p, listed
-    up to a_50; the L-value is the exact closed form -(12/d)*log(p).
+    up to a_50; the L-value is the exact closed form -(12/d)*log(p).  d
+    divides p-1, 12 and 24, so a_0, every a_k and -12/d are ints.
     """
     if p < 3 or factor(p) != {p: 1}:
         raise UnsupportedModulusError("p must be an odd prime")
     d = gcd(p - 1, 12)
     n = (p - 1) // d
-    coeffs = [Fraction(p - 1, d)]
+    coeffs = [n]
     for k in range(1, 51):
         s = sum(m for m in range(1, k + 1) if k % m == 0 and m % p != 0)
-        coeffs.append(Fraction(24 * s, d))
+        coeffs.append(24 // d * s)
     return {
         "p": p,
         "d": d,
         "n": n,
         "coefficients": coeffs,
         "L_value": -12 / d * math.log(p),
-        "L_value_symbolic": (Fraction(-12, d), p),
+        "L_value_symbolic": (-12 // d, p),
         "period_vector": (-12 / d * math.log(p), 2 * math.pi * (p - 1) / d),
     }

@@ -19,12 +19,13 @@ over q + 1 representatives m (q of them for U_q, where q divides N):
       N, gamma in Gamma0(N) with lower-right entry q mod N.
 
 The last representative carries the diamond twist <q>, so no <q> matrix
-is built; when q lies in +-H the twist is trivial.  For odd q not dividing
-N each m*g splits as t*((1,j),(0,q)) or t*diag(q,1) with t unimodular, so
-the image is the integral symbol {t, t'} and T_q is an int matrix.
-Otherwise each image is evaluated through rational symbols, whose
-denominators divide q: it is summed in ints as q times its coordinates.  W_N is evaluated the same way, with
-w = ((0,-1),(N,0)) and N in place of q.
+is built; when q lies in +-H the twist is trivial.  Each m*g is split by
+one helper, ``mms._upper_split``, as t*((a,b),(0,d)) with t unimodular and
+b centred.  For odd q not dividing N that form is ((1,j),(0,q)) or
+diag(q,1), so the image is the integral symbol {t, t'} and T_q is an int
+matrix.  Otherwise each image is evaluated through rational symbols, whose
+denominators divide q: it is summed in ints as q times its coordinates.
+W_N is evaluated the same way, with w = ((0,-1),(N,0)) and N in place of q.
 
 Images are summed on the ambient generators, as {generator: coefficient}
 dicts, and each row is projected to the basis once.
@@ -40,7 +41,7 @@ from fractions import Fraction
 from math import gcd
 
 from .sl2 import MAT_S, MAT_T, conj_entries, lift_bottom_row, mmul
-from .mms import InvalidInputError, _add_pair, _add_scaled, _combine
+from .mms import InvalidInputError, _add_pair, _add_scaled, _combine, _upper_split
 from .zlattice import factor, identity_matrix, mat_mul
 
 
@@ -154,25 +155,6 @@ def _coset_reps(space, q):
     return reps + [last]
 
 
-def _translate(h, q):
-    """The unimodular t with h = t * g, g one of the coset matrices of odd q.
-
-    h is an integer matrix of determinant q; g is diag(q, 1) or ((1,j),(0,q))
-    with j in -(q-1)/2 .. (q-1)/2.  The split is left-equivariant: gamma * h
-    gives gamma * t for gamma in SL2(Z).
-    """
-    h11, h12, h21, h22 = h
-    if h11 % q == 0 and h21 % q == 0:
-        return (h11 // q, h12, h21 // q, h22)
-    # j solves h12 = h11 * j and h22 = h21 * j mod q; one equation has a unit
-    # coefficient, and det(h) = 0 mod q makes the other follow
-    j = h12 * pow(h11, -1, q) if h11 % q else h22 * pow(h21, -1, q)
-    j %= q
-    if j > (q - 1) // 2:
-        j -= q
-    return (h11, (h12 - h11 * j) // q, h21, (h22 - h21 * j) // q)
-
-
 def hecke_operator(space, q):
     """T_q (or U_q when q divides the level) as an exact operator matrix."""
     n = space.spec.level
@@ -182,7 +164,7 @@ def hecke_operator(space, q):
     reps = _coset_reps(space, q)
     if q % 2 and n % q:
         def add_image(amb, h, hp):
-            _add_pair(space, amb, _translate(h, q), _translate(hp, q))
+            _add_pair(space, amb, _upper_split(h)[0], _upper_split(hp)[0])
         den = 1
     else:
         # every m * g is primitive of determinant q, so q clears its denominator

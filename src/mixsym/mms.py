@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import sl2
-from .sl2 import GroupSpec, det, gcdex, minv, mmul, mneg
+from .sl2 import GroupSpec, det
 from .zlattice import (QuotientLattice, dense_rows, identity_matrix, kernel_basis,
                        quotient_by_rows, smith_invariants, sublattice_index, vec_mat,
                        vec_mat_sparse)
@@ -207,56 +207,65 @@ def _primitive_integral(m):
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def _factor_upper(m):
-    """Write an integer matrix with positive determinant as alpha * upper.
+def _upper_split(h):
+    """The Hermite split h = t * ((a, b), (0, d)) of an integer matrix of det D > 0.
 
-    Returns (alpha, (A, B, D)) with alpha unimodular and
-    alpha^-1 * m = ((A, B), (0, D)), D > 0.
+    Returns (t, a, b, d): t in SL2(Z), a = gcd(h11, h21), d = D / a and b
+    centred in -((d-1)//2) .. d//2, which fix the split uniquely, so it is
+    left-equivariant: gamma * h gives gamma * t.  t's first column is h's
+    over a; one modular inverse gives a second column, and a power of T
+    centres b.
     """
-    m11, m12, m21, m22 = m
-    r, s, g = -m21, m11, gcd(m11, m21)
-    r //= g
-    s //= g
-    p, q, _ = gcdex(s, -r)  # p*s - q*r = 1
-    alpha_inv = (p, q, r, s)
-    a, b, c, d = mmul(alpha_inv, m)
-    assert c == 0
-    if d < 0:
-        alpha_inv = mneg(alpha_inv)
-        a, b, d = -a, -b, -d
-    return minv(alpha_inv), (a, b, d)
+    h11, h12, h21, h22 = h
+    a = gcd(h11, h21)
+    u, v = h11 // a, h21 // a
+    if v:
+        y = pow(u, -1, abs(v))
+        x = (u * y - 1) // v
+    else:
+        x, y = 0, u  # u = +-1
+    d = (h11 * h22 - h12 * h21) // a
+    # b is the top right entry of t^-1 * h, t^-1 = ((y, -x), (-v, u)); t * T^k
+    # takes it to b - k*d, centred by the k below
+    b = y * h12 - x * h22
+    k = (b + (d - 1) // 2) // d
+    return (u, x + k * u, v, y + k * v), a, b - k * d, d
 
 
 def _split_rational(m):
-    """(alpha, b, d): the primitive integer multiple of m is alpha * ((a, b), (0, d))."""
+    """``_upper_split`` of the primitive integer multiple of m."""
     m = _primitive_integral(m)
     if det(m) <= 0:
         raise InvalidInputError("matrices must have positive determinant")
-    alpha, (_, b, d) = _factor_upper(m)
-    return alpha, b, d
+    return _upper_split(m)
 
 
-def _add_scaled(space, amb, m, mprime, s):
-    """Add s * {m, m'} into amb, for rational m, m' of positive determinant.
+def _add_scaled(space, amb, m, mprime, s=None):
+    """Add s * {m, m'} into amb, for rational m, m' of positive determinant; return s.
 
-    Each of m, m' is scaled to a primitive integer matrix and factored as
-    alpha * ((a, b), (0, d)) with alpha unimodular; then
+    Each of m, m' is scaled to a primitive integer matrix and split by
+    ``_upper_split`` as alpha * ((a, b), (0, d)); then
 
       s * {m, m'} = s * {alpha, alpha'} - (s*b/d) * cusp(alpha)
                     + (s*b'/d') * cusp(alpha'),
 
-    where cusp(alpha) is the cusp generator at alpha's coset.
+    where cusp(alpha) is the cusp generator at alpha's coset.  Any other
+    split, alpha * T^k with b - k*d, gives the same sum, since
+    {alpha, alpha * T^k} = k * cusp(alpha).  s defaults to d * d'.
     Raises InvalidInputError unless s is a multiple of both d and d'.
     """
-    alpha, b, d = _split_rational(m)
-    alpha2, b2, d2 = _split_rational(mprime)
-    if s % d or s % d2:
+    alpha, _, b, d = _split_rational(m)
+    alpha2, _, b2, d2 = _split_rational(mprime)
+    if s is None:
+        s = d * d2
+    elif s % d or s % d2:
         raise InvalidInputError(f"scale {s} is not a multiple of {d} and {d2}")
     _add_pair(space, amb, alpha, alpha2, s)
     for beta, num in ((alpha, -s * b // d), (alpha2, s * b2 // d2)):
         if num:
             k = space.n_manin + space.cusps.cusp_of[space.cosets.coset_of(beta)]
             amb[k] = amb.get(k, 0) + num
+    return s
 
 
 def reduce_pair_scaled(space, m, mprime, s):
@@ -273,10 +282,12 @@ def reduce_pair_scaled(space, m, mprime, s):
 def reduce_pair_rational(space, m, mprime):
     """Rational basis coordinates of {m, m'} for rational matrices of positive determinant.
 
-    ``reduce_pair_scaled`` with s = d * d', divided by s.
+    ``_add_scaled`` with its default s = d * d', from one split of each
+    matrix, divided by s.
     """
-    s = _split_rational(m)[2] * _split_rational(mprime)[2]
-    return [Fraction(x, s) for x in reduce_pair_scaled(space, m, mprime, s)]
+    amb = {}
+    s = _add_scaled(space, amb, m, mprime)
+    return [Fraction(x, s) for x in _combine(space, amb)]
 
 
 def boundary(space, x):

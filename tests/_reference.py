@@ -3,7 +3,8 @@ polynomial and rank, the dense Smith normal form, the dense relation
 matrix of the presentation with U read by matrix product, a Gamma0(N)
 matrix from an inverse mod N, membership by family,
 T^n and the S/T word of a matrix with the two walks over it for
-reduce_pair, the coset translate found by search, the pairing's radical,
+reduce_pair, the coset translate found by search, the upper-triangular split
+by the extended Euclidean algorithm, the pairing's radical,
 its dense product and its perfectness over Z[1/n], the projection to the
 classical presentation, the T_q representatives with the twisted last one,
 the Fraction routes for the rational and composite Hecke operators, the
@@ -23,10 +24,9 @@ import mpmath
 from mixsym.dualpair import _units_after_inverting, fractional_invariants
 from mixsym.eis import DirichletCharacter, _unit_logs, gauss_sum
 from mixsym.hecke import diamond, generator_pair, hecke_operator
-from mixsym.mms import (InvalidInputError, _factor_upper, _primitive_integral,
-                        reduce_pair)
+from mixsym.mms import InvalidInputError, _primitive_integral, reduce_pair
 from mixsym.sl2 import (MAT_ID, MAT_S, MAT_T, MAT_U, InvalidSpecError, det,
-                        minv, mmul, mneg)
+                        gcdex, minv, mmul, mneg)
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
                              identity_matrix, kernel_basis, mat_copy, mat_mul,
                              mat_transpose, smith_invariants, vec_mat)
@@ -340,7 +340,9 @@ def homology_rows_schreier(space):
 
 
 def translate_by_search(h, q):
-    """``hecke._translate`` by trying every j in -(q-1)/2 .. (q-1)/2."""
+    """The unimodular t with h = t * g, for h of odd prime determinant q and g
+    one of the T_q coset matrices diag(q, 1) or ((1,j),(0,q)), found by
+    trying every j in -(q-1)/2 .. (q-1)/2."""
     h11, h12, h21, h22 = h
     if h11 % q == 0 and h21 % q == 0:
         return (h11 // q, h12, h21 // q, h22)
@@ -400,6 +402,27 @@ def six_mat_dense(space):
     return [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]
 
 
+def factor_upper(m):
+    """Write an integer matrix with positive determinant as alpha * upper,
+    by the extended Euclidean algorithm.
+
+    Returns (alpha, (A, B, D)) with alpha unimodular and
+    alpha^-1 * m = ((A, B), (0, D)), D > 0; B is whatever gcdex gives.
+    """
+    m11, m12, m21, m22 = m
+    r, s, g = -m21, m11, gcd(m11, m21)
+    r //= g
+    s //= g
+    p, q, _ = gcdex(s, -r)  # p*s - q*r = 1
+    alpha_inv = (p, q, r, s)
+    a, b, c, d = mmul(alpha_inv, m)
+    assert c == 0
+    if d < 0:
+        alpha_inv = mneg(alpha_inv)
+        a, b, d = -a, -b, -d
+    return minv(alpha_inv), (a, b, d)
+
+
 def reduce_pair_rational_fractions(space, m, mprime):
     """{m, m'} for rational matrices of positive determinant, added up in Fractions.
 
@@ -411,8 +434,8 @@ def reduce_pair_rational_fractions(space, m, mprime):
         a, b, c, d = (Fraction(t) for t in x)
         if a * d - b * c <= 0:
             raise InvalidInputError("matrices must have positive determinant")
-    alpha, (_, b, d) = _factor_upper(_primitive_integral(m))
-    alpha2, (_, b2, d2) = _factor_upper(_primitive_integral(mprime))
+    alpha, (_, b, d) = factor_upper(_primitive_integral(m))
+    alpha2, (_, b2, d2) = factor_upper(_primitive_integral(mprime))
     out = [Fraction(x) for x in reduce_pair(space, alpha, alpha2)]
     if b:
         i = space.cosets.coset_of(alpha)

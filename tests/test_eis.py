@@ -329,6 +329,17 @@ class TestGamma0pConstants:
         assert data["L_value_symbolic"] == (Fraction(-6), 11)
         assert data["period_vector"][1] == pytest.approx(10 * math.pi)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 37, 101])
+    def test_constants_are_ints(self, p):
+        """d = gcd(p-1, 12) divides p-1 and 24, so nothing needs a Fraction."""
+        data = gamma0p_constants(p)
+        assert all(type(a) is int for a in data["coefficients"])
+        assert data["coefficients"] == [Fraction(p - 1, data["d"])] + [
+            Fraction(24 * sum(m for m in range(1, k + 1) if k % m == 0 and m % p), data["d"])
+            for k in range(1, 51)]
+        assert type(data["L_value_symbolic"][0]) is int
+        assert data["L_value_symbolic"] == (Fraction(-12, data["d"]), p)
+
     def test_p_dividing_coefficient_dropped(self):
         data = gamma0p_constants(5)
         # a_5 omits the divisor 5: 24/4 * 1 = 6

@@ -9,7 +9,8 @@ from math import gcd
 import pytest
 
 from mixsym import classical, hecke
-from mixsym.mms import InvalidInputError, build_space, kernel_of_boundary, space_to_dict
+from mixsym.mms import (InvalidInputError, _upper_split, build_space, kernel_of_boundary,
+                        space_to_dict)
 from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul
 from mixsym.zlattice import (kernel_basis, mat_mul, smith_invariants, solve_rational,
                              vec_mat)
@@ -307,14 +308,14 @@ def _random_unimodular(rng):
 class TestTranslate:
     @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
     def test_matches_search_over_j(self, q):
-        """The translate by one modular inverse equals the one found by trying
-        every j, on seeded matrices gamma * diag(1, q) * gamma' of
-        determinant q."""
+        """The unimodular factor of the centred Hermite split equals the
+        translate found by trying every j, on seeded matrices
+        gamma * diag(1, q) * gamma' of determinant q."""
         rng = random.Random(q)
         for _ in range(300):
             h = mmul(_random_unimodular(rng), (1, 0, 0, q), _random_unimodular(rng))
             assert det(h) == q
-            assert hecke._translate(h, q) == translate_by_search(h, q), h
+            assert _upper_split(h)[0] == translate_by_search(h, q), h
 
 
 class TestRankZero:

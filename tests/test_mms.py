@@ -10,19 +10,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mixsym import dualpair, mms
-from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, boundary,
-                        build_space, cusp_cokernel_invariants, expected_homology_index,
-                        expected_manin_index, homology_index_in_kernel,
-                        homology_sublattice, kernel_of_boundary, kernel_pi_invariants,
-                        manin_image_rows, manin_index, reduce_pair,
-                        reduce_pair_rational, reduce_pair_scaled,
-                        space_from_dict, space_to_dict)
-from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, mmul
+from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, _upper_split,
+                        boundary, build_space, cusp_cokernel_invariants,
+                        expected_homology_index, expected_manin_index,
+                        homology_index_in_kernel, homology_sublattice,
+                        kernel_of_boundary, kernel_pi_invariants, manin_image_rows,
+                        manin_index, reduce_pair, reduce_pair_rational,
+                        reduce_pair_scaled, space_from_dict, space_to_dict)
+from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, det, mmul
 from mixsym.zlattice import (dense_rows, identity_matrix, quotient_by_rows, sparse_rows,
                              sublattice_index)
 
-from _reference import (assemble_relations_dense, coset_times_u, homology_rows_schreier,
-                        mpow_t, pi_classical, reduce_pair_matrix_walk, reduce_to_ambient_by_word,
+from _reference import (assemble_relations_dense, coset_times_u, factor_upper,
+                        homology_rows_schreier, mpow_t, pi_classical,
+                        reduce_pair_matrix_walk, reduce_to_ambient_by_word,
                         sublattice_index_smith)
 
 # rank must equal 2*genus + 2*(cusps - 1)
@@ -313,6 +314,89 @@ class TestScaledReduce:
             [2 * x for x in sp.cusp_gen(0)]
         with pytest.raises(InvalidInputError):
             reduce_pair_scaled(sp, MAT_ID, m, 3)
+
+
+def _primitive_of_det(rng, det_):
+    """A seeded primitive integer matrix gamma * ((a, b), (0, d)) * gamma' with
+    a * d = det_, gamma and gamma' words in S and T."""
+    while True:
+        a = rng.choice([x for x in range(1, det_ + 1) if det_ % x == 0])
+        d, b = det_ // a, rng.randint(-2 * det_, 2 * det_)
+        if gcd(a, b, d) == 1:
+            break
+    return mmul(_long_t_word_matrix(rng, 6), (a, b, 0, d), _long_t_word_matrix(rng, 6))
+
+
+def _split_cases():
+    """Seeded primitive matrices: determinants 2, 3, 6, 12 and 35, w * g for
+    W_N at N = 8, 27, 36 and 101, and upper triangular ones, h21 = 0, with
+    negative entries."""
+    rng = random.Random(2024)
+    cases = [_primitive_of_det(rng, det_) for det_ in (2, 3, 6, 12, 35) for _ in range(200)]
+    cases += [mmul((0, -1, n, 0), _long_t_word_matrix(rng, 6))
+              for n in (8, 27, 36, 101) for _ in range(100)]
+    for det_ in (2, 3, 6, 12, 35):
+        for a in (x for x in range(1, det_ + 1) if det_ % x == 0):
+            d = det_ // a
+            cases += [(sign * a, b, 0, sign * d) for sign in (1, -1)
+                      for b in range(-det_, det_ + 1) if gcd(a, b, d) == 1]
+    return cases
+
+
+class TestUpperSplit:
+    def test_centred_hermite_form(self):
+        """h = t * ((a, b), (0, d)) with t unimodular, a = gcd of the first
+        column, a * d = det h and b centred in -((d-1)//2) .. d//2."""
+        cases = _split_cases()
+        assert any(h[0] < 0 for h in cases) and any(h[2] == 0 for h in cases)
+        for h in cases:
+            t, a, b, d = _upper_split(h)
+            assert det(t) == 1, h
+            assert mmul(t, (a, b, 0, d)) == h, h
+            assert a == gcd(h[0], h[2]) and a * d == det(h), h
+            assert -((d - 1) // 2) <= b <= d // 2, h
+
+    def test_translate_of_euclidean_split(self):
+        """The extended-Euclid split alpha * ((a, B), (0, d)) of the oracle has
+        the same a and d, and t = alpha * T^((B - b)/d)."""
+        for h in _split_cases():
+            t, a, b, d = _upper_split(h)
+            alpha, (a2, b2, d2) = factor_upper(h)
+            assert (a2, d2) == (a, d), h
+            assert (b2 - b) % d == 0 and mmul(alpha, mpow_t((b2 - b) // d)) == t, h
+
+
+class TestSplitRepresentative:
+    @pytest.mark.parametrize("level", [("gamma0", 36), ("gamma1", 12)],
+                             ids=["gamma0-36", "gamma1-12"])
+    def test_any_translate_of_the_split(self, level):
+        """s * {alpha*T^k, alpha'*T^k'} - (s*(b - k*d)/d) * cusp(alpha*T^k)
+        + (s*(b' - k'*d')/d') * cusp(alpha'*T^k') is reduce_pair_scaled's
+        value for every seeded k, k' in -3..3: the sum does not depend on
+        which split of m and m' is taken."""
+        sp = _space(*level)
+        rng = random.Random(level[1])
+
+        def cusp(beta):
+            return sp.cusp_gen(sp.cusps.cusp_of[sp.cosets.coset_of(beta)])
+
+        seen_b = 0
+        for _ in range(40):
+            m, mp = (_primitive_of_det(rng, rng.choice((2, 3, 4, 6, 12))) for _ in range(2))
+            (alpha, a, b, d), (alpha2, a2, b2, d2) = _upper_split(m), _upper_split(mp)
+            s = d * d2 * rng.randint(1, 3)
+            want = reduce_pair_scaled(sp, m, mp, s)
+            seen_b += bool(b or b2)
+            for _ in range(4):
+                k, k2 = rng.randint(-3, 3), rng.randint(-3, 3)
+                beta, beta2 = mmul(alpha, mpow_t(k)), mmul(alpha2, mpow_t(k2))
+                c, c2 = b - k * d, b2 - k2 * d2
+                assert mmul(beta, (a, c, 0, d)) == m and mmul(beta2, (a2, c2, 0, d2)) == mp
+                got = [s * x - s * c // d * y + s * c2 // d2 * z
+                       for x, y, z in zip(reduce_pair(sp, beta, beta2),
+                                          cusp(beta), cusp(beta2))]
+                assert got == want, (m, mp, k, k2)
+        assert seen_b
 
 
 class TestStructureMaps:
