@@ -133,7 +133,7 @@ def perfectness_report(space, pairing=None):
     invariants = fractional_invariants(p)
     det = prod(invariants, start=Fraction(1)) \
         if len(invariants) == space.rank else Fraction(0)
-    inverted = 2 * lcm(*space.cusps.widths) if space.rank else 2
+    inverted = 2 * lcm(*space.cusps.widths)
     return {
         "rank": space.rank,
         "antisymmetric": p.is_antisymmetric(),
@@ -141,12 +141,12 @@ def perfectness_report(space, pairing=None):
         "det": det,
         "abs_det": abs(det),
         "abs_pfaffian": abs_pfaffian(det),
-        "expected_abs_det": expected_homology_index(space) if space.rank else 1,
+        "expected_abs_det": expected_homology_index(space),
         "invariants": invariants,
         "inverted": inverted,
         "perfect_after_inverting": _units_after_inverting(invariants, space.rank,
                                                           inverted),
-        "nondegenerate": det != 0 or space.rank == 0,
+        "nondegenerate": det != 0,
     }
 
 
@@ -189,8 +189,6 @@ def dual_cuspless_basis(space):
     These are the duals of the relative-homology block, the domain of the
     closed-form expression for G.
     """
-    if space.rank == 0:
-        return []
     return kernel_basis(mat_transpose(space.cusp_sublattice()))
 
 

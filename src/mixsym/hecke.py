@@ -102,18 +102,15 @@ def operator_from_pair_map(space, fn, name, denominator=1):
     amb, a {ambient generator index: int coefficient} dict.  Row j combines
     the images of the ambient generators with the integer coefficients of
     row j of ``lift`` and projects the sum to the basis once; fn runs once
-    per generator that occurs.  The rows are kept as ``num`` over
+    per term of ``lift``.  The rows are kept as ``num`` over
     ``den = denominator``; nothing is divided.
     """
-    images = {}
     rows = []
     for lift_row in space.quotient.lift:
         amb = {}
         for k, c in lift_row:
-            image = images.get(k)
-            if image is None:
-                image = images[k] = {}
-                fn(image, *generator_pair(space, k))
+            image = {}
+            fn(image, *generator_pair(space, k))
             for i, x in image.items():
                 amb[i] = amb.get(i, 0) + c * x
         rows.append(_combine(space, amb))
@@ -156,11 +153,12 @@ def _coset_reps(space, q):
 
 
 def hecke_operator(space, q):
-    """T_q (or U_q when q divides the level) as an exact operator matrix."""
+    """T_q (or U_q when q divides the level) for a prime q, as an exact operator
+    matrix; composite indices are ``hecke_composite``'s."""
     n = space.spec.level
+    if factor(q) != {q: 1}:
+        raise InvalidInputError(f"T_q needs a prime q, got {q}")
     name = f"U{q}" if n % q == 0 else f"T{q}"
-    if space.rank == 0:
-        return OperatorMatrix(name, [])
     reps = _coset_reps(space, q)
     if q % 2 and n % q:
         def add_image(amb, h, hp):
@@ -182,8 +180,6 @@ def hecke_operator(space, q):
 def atkin_lehner(space):
     """The Atkin-Lehner involution W_N via w = ((0,-1),(N,0))."""
     n = space.spec.level
-    if space.rank == 0:
-        return OperatorMatrix(f"W{n}", [])
     w = (0, -1, n, 0)
     # w * g is primitive of determinant N, so N clears its denominator
     return operator_from_pair_map(

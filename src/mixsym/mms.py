@@ -302,8 +302,6 @@ def manin_image_rows(space):
 
 def manin_index(space):
     """Index of the span of the Manin generators in the full lattice."""
-    if space.rank == 0:
-        return 1
     return sublattice_index(identity_matrix(space.rank), manin_image_rows(space))
 
 
@@ -317,8 +315,6 @@ def expected_manin_index(space):
     Gamma0 both conditions reduce to p = 1 mod 3, for Gamma1 neither ever
     holds.
     """
-    if space.rank == 0:
-        return 1
     act_s, act_t = space.cosets.action["S"], space.cosets.action["T"]
     has_u_fixed = any(act_s[act_t[i]] == i for i in range(space.n_manin))
     width_sum = sum(space.cusps.widths)

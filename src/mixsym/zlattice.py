@@ -25,7 +25,7 @@ def mat_copy(a):
 
 
 def mat_transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
+    return [list(col) for col in zip(*a)]
 
 
 def mat_mul(a, b):
@@ -52,18 +52,13 @@ def sparse_rows(a):
     return [tuple((j, row[j]) for j in compress(range(len(row)), row)) for row in a]
 
 
-def dense_rows(vecs, n, by_columns=False):
-    """The list-of-rows matrix whose rows (or, ``by_columns``, columns) are
-    the sparse vectors ``vecs`` of length ``n``, each an iterable of
-    (index, value) pairs."""
-    shape = (n, len(vecs)) if by_columns else (len(vecs), n)
-    out = [[0] * shape[1] for _ in range(shape[0])]
-    for i, vec in enumerate(vecs):
+def dense_rows(vecs, n):
+    """The list-of-rows matrix whose rows are the sparse vectors ``vecs`` of
+    length ``n``, each an iterable of (index, value) pairs."""
+    out = [[0] * n for _ in vecs]
+    for row, vec in zip(out, vecs):
         for j, x in vec:
-            if by_columns:
-                out[j][i] = x
-            else:
-                out[i][j] = x
+            row[j] = x
     return out
 
 
@@ -169,9 +164,9 @@ def snf(a):
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u, d, v, vinv = ([x.items() for x in m] for m in _snf_sparse(sparse_rows(a), cols))
-    return SmithDecomposition(u=dense_rows(u, rows, by_columns=True),
+    return SmithDecomposition(u=mat_transpose(dense_rows(u, rows)),
                               d=dense_rows(d, cols), v=dense_rows(v, cols),
-                              vinv=dense_rows(vinv, cols, by_columns=True))
+                              vinv=mat_transpose(dense_rows(vinv, cols)))
 
 
 def _snf_sparse(a, cols):

@@ -5,7 +5,8 @@ matrix from an inverse mod N, membership by family,
 T^n and the S/T word of a matrix with the two walks over it for
 reduce_pair, the coset translate found by search, the upper-triangular split
 by the extended Euclidean algorithm, the pairing's radical,
-its dense product and its perfectness over Z[1/n], the projection to the
+its dense product, the Gauss-Jordan inverse and the pairing's
+perfectness over Z[1/n] read off the Gram matrix, the projection to the
 classical presentation, the T_q representatives with the twisted last one,
 the Fraction routes for the rational and composite Hecke operators, the
 mpc loop and finish for the digamma series, all Dirichlet characters of an
@@ -21,7 +22,6 @@ from math import gcd, inf, prod
 
 import mpmath
 
-from mixsym.dualpair import _units_after_inverting, fractional_invariants
 from mixsym.eis import DirichletCharacter, _unit_logs, gauss_sum
 from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import InvalidInputError, _primitive_integral, reduce_pair
@@ -352,15 +352,45 @@ def translate_by_search(h, q):
     raise AssertionError("no coset translate found; determinant not prime?")
 
 
-def is_perfect_over(pairing, inverted):
-    """Whether the pairing is unimodular after inverting the given integer.
+def inverse_rational(a):
+    """Inverse of a square rational matrix by Gauss-Jordan, or None when singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
 
-    True when the pairing is non-degenerate and every invariant factor
-    becomes a unit in Z[1/inverted], i.e. when all their numerators and
-    denominators only involve primes dividing ``inverted``.
+
+def _primes_divide(d, n):
+    """Whether every prime factor of the positive integer d divides n."""
+    g = gcd(d, n)
+    while g > 1:
+        d //= g
+        g = gcd(d, n)
+    return d == 1
+
+
+def is_perfect_over(pairing, inverted):
+    """Whether the Gram matrix P = six_mat / 6 lies in GL_k(Z[1/inverted]).
+
+    Decided on P itself, not on its Smith invariants: P is invertible, and
+    every entry of P and of its Gauss-Jordan inverse has a denominator whose
+    primes divide ``inverted``.
     """
-    return _units_after_inverting(fractional_invariants(pairing),
-                                  len(pairing.six_mat), inverted)
+    gram = [[Fraction(x, 6) for x in row] for row in pairing.six_mat]
+    inv = inverse_rational(gram)
+    return inv is not None and all(_primes_divide(x.denominator, inverted)
+                                   for m in (gram, inv) for row in m for x in row)
 
 
 def pi_classical(space, x):

@@ -96,6 +96,17 @@ class TestPerfectnessReport:
         assert info["invariants"] == ref
         assert dualpair.fractional_invariants(pm) == ref
         assert smith_invariants(pm.six_mat) == snf(pm.six_mat).invariants
+        assert info["perfect_after_inverting"] == is_perfect_over(pm, info["inverted"])
+
+    def test_denominators_decide_perfectness(self):
+        """Invariants 1/3, 1/3 are units over Z[1/6] but not over Z[1/2]."""
+        pm = dualpair.PairingMatrix(six_mat=[[0, 2], [-2, 0]])
+        assert dualpair.fractional_invariants(pm) == [Fraction(1, 3), Fraction(1, 3)]
+        assert is_perfect_over(pm, 6)
+        assert not is_perfect_over(pm, 2)
+        info = dualpair.perfectness_report(_space("gamma0", 2), pm)  # rank 2
+        assert info["inverted"] == 4
+        assert not info["perfect_after_inverting"]
 
     def test_degenerate_pairing_is_not_perfect(self):
         pm = dualpair.PairingMatrix(six_mat=[[0, 6, 0, 0], [-6, 0, 0, 0],

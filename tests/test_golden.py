@@ -84,6 +84,12 @@ REPORT_DIGESTS = {
     ("verify", "--suite", "pairing", "--levels", "2,3,4,6,9,25,27",
      "--strict"):
         "efed266f5686d25a8141f5512507da7bec330c21340dfd28adbd1f35d1a5ea08",
+    # level 1 has rank 0; recorded while rank 0 still had its own branches
+    ("verify", "--suite", "all", "--levels", "1,2", "--strict"):
+        "f1fb31db8ca16c1927da84653344dd5b1230467a702dcb62a9ede366afd67f69",
+    ("verify", "--suite", "all", "--family", "gamma1", "--levels", "1,2",
+     "--strict"):
+        "cc40b7aac1728e4649ac0080a440ba21b9dea689199ae3c656e56e63af831602",
 }
 
 

@@ -1,5 +1,6 @@
 """Hecke, diamond, Atkin-Lehner, and conjugation operators."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import hashlib
@@ -8,12 +9,14 @@ from math import gcd
 
 import pytest
 
-from mixsym import classical, hecke
-from mixsym.mms import (InvalidInputError, _upper_split, build_space, kernel_of_boundary,
+from mixsym import classical, dualpair, hecke
+from mixsym.mms import (InvalidInputError, _assemble_relations, _sparse_row, _upper_split,
+                        build_space, expected_homology_index, expected_manin_index,
+                        homology_index_in_kernel, kernel_of_boundary, manin_index,
                         space_to_dict)
 from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul
-from mixsym.zlattice import (kernel_basis, mat_mul, smith_invariants, solve_rational,
-                             vec_mat)
+from mixsym.zlattice import (dense_rows, identity_matrix, kernel_basis, mat_mul,
+                             smith_invariants, solve_rational, vec_mat)
 
 from _reference import (charpoly, coset_reps_twisted, hecke_rational_fractions, mpow_t,
                         translate_by_search)
@@ -170,6 +173,14 @@ class TestAlgebra:
         with pytest.raises(InvalidInputError):
             hecke.hecke_composite(sp, 0)
 
+    @pytest.mark.parametrize("q", [-3, 0, 1, 4, 9])
+    def test_hecke_operator_needs_a_prime(self, q):
+        """T_4 and T_9 are hecke_composite's; hecke_operator computes no
+        operator under another name."""
+        for fam, lvl in (("gamma0", 11), ("gamma0", 13), ("gamma1", 7)):
+            with pytest.raises(InvalidInputError):
+                hecke.hecke_operator(_space(fam, lvl), q)
+
     @pytest.mark.parametrize("level,names", [
         (25, {5: "U5", 25: "U25", 125: "U125", 2: "T2", 10: "T10"}),
         (36, {2: "U2", 3: "U3", 4: "U4", 6: "U6", 12: "U12", 5: "T5",
@@ -319,10 +330,66 @@ class TestTranslate:
 
 
 class TestRankZero:
+    """Level 1 has rank 0: every quantity is the empty case of its formula."""
+
     def test_level_one_operators_empty(self):
         sp = _space("full", 1)
         assert hecke.hecke_operator(sp, 3).mat == []
         assert hecke.atkin_lehner(sp).mat == []
+
+    @pytest.mark.parametrize("family", ["gamma0", "gamma1", "full"])
+    def test_level_one_is_the_empty_case(self, family):
+        sp = _space(family, 1)
+        assert sp.rank == 0
+        t2 = hecke.hecke_operator(sp, 2)
+        assert t2.mat == [] and t2.denominator == 1 and t2.is_integral()
+        assert manin_index(sp) == expected_manin_index(sp) == 1
+        assert homology_index_in_kernel(sp) == expected_homology_index(sp) == 1
+        assert dualpair.dual_cuspless_basis(sp) == []
+        info = dualpair.perfectness_report(sp)
+        assert info["inverted"] == 2
+        assert info["expected_abs_det"] == 1
+        assert info["det"] == 1
+        assert info["nondegenerate"] is True
+
+
+def _relation_sum_section(sp, rng):
+    """``lift`` with seeded integer combinations of the relations added to each
+    row: another section of ``project``, whose rows share generators."""
+    relations = _assemble_relations(sp.cosets, sp.cusps)
+    lift = []
+    for row in sp.quotient.lift:
+        terms = list(row)
+        for rel in rng.sample(relations, 3):
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            terms += [(j, c * x) for j, x in rel]
+        lift.append(_sparse_row(terms))
+    return lift
+
+
+class TestSectionIndependence:
+    """Every operator sends the relations to 0, so it does not depend on the
+    section ``lift`` it is assembled on."""
+
+    @pytest.mark.parametrize("family,level,units", [
+        ("gamma0", 11, (2, 3)), ("gamma0", 25, (2, 3)), ("gamma0", 36, (5, 7)),
+        ("gamma0", 101, (2, 3)), ("gamma1", 12, (5, 7)), ("gamma1", 13, (2, 3))])
+    def test_operators_independent_of_section(self, family, level, units):
+        sp = _space(family, level)
+        n = sp.n_manin + sp.n_cusp
+        lift = _relation_sum_section(sp, random.Random(level))
+        assert lift != sp.quotient.lift
+        terms = [k for row in lift for k, _ in row]
+        assert len(set(terms)) < len(terms)  # generators shared between rows
+        assert mat_mul(dense_rows(lift, n), dense_rows(sp.quotient.project, sp.rank)) \
+            == identity_matrix(sp.rank)
+        other = replace(sp, quotient=replace(sp.quotient, lift=lift))
+        builds = [lambda s, q=q: hecke.hecke_operator(s, q) for q in (2, 3, 5, 7)]
+        builds += [hecke.atkin_lehner, hecke.complex_conjugation]
+        builds += [lambda s, d=d: hecke.diamond(s, d) for d in units]
+        for build in builds:
+            a, b = build(sp), build(other)
+            assert (b.name, b.num, b.den) == (a.name, a.num, a.den), a.name
 
 
 # SHA-256 of the operators in TestOperatorsPinned, recorded before the
