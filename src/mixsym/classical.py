@@ -109,8 +109,7 @@ def _apply_mats(space, mats):
 def hecke_matrix(space, q):
     """Classical T_q / U_q on the companion presentation via cusp pairs."""
     n = space.spec.level
-    low = -(q - 1) // 2 if q % 2 and n % q else 0
-    mats = [(1, i, 0, q) for i in range(low, low + q)]
+    mats = [(1, i, 0, q) for i in range(q)]
     if n % q:
         # diag(q, 1) carries the diamond twist <q>, trivial when q is in +-H
         last = (q, 0, 0, 1)

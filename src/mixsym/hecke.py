@@ -3,32 +3,32 @@
 Operators are exact matrices over the space's basis, acting on row vectors
 by right multiplication.  Each is assembled on the free generators: row j is
 the image of basis vector j, which ``lift`` writes as an integer combination
-of ambient generators, so only the generators occurring in ``lift`` are
-evaluated.  For a prime q the Hecke operator is one double-coset sum over
-the right cosets of Gamma in Gamma*diag(1,q)*Gamma (Diamond-Shurman, A
-First Course in Modular Forms, Prop. 5.2.1):
+of ambient generators.  The pair map fn(amb, g, g', c) adds each
+generator's image in place, at its lift coefficient c, into one
+{generator: coefficient} dict per row, and the row is projected once.
 
-  T_q {g,g'} = sum over m of {m*g, m*g'},
+T_q, U_q, W_N and <d> are double cosets, all built by one sum over right
+coset representatives m (Diamond-Shurman, A First Course in Modular Forms,
+Prop. 5.2.1): {g,g'} -> sum over m of {m*g, m*g'}.  For a prime q:
 
-over q + 1 representatives m (q of them for U_q, where q divides N):
-
-  m = ((1,i),(0,q)), i in -(q-1)/2 .. (q-1)/2 for odd q not dividing N
-                     and in 0 .. q-1 otherwise;
+  m = ((1,i),(0,q)) for i in 0 .. q-1 (these alone for U_q, q dividing N);
   m = diag(q,1) when q does not divide N and q mod N lies in +-H (every
       such q on Gamma0), and gamma*diag(q,1) for the other q not dividing
       N, gamma in Gamma0(N) with lower-right entry q mod N.
 
 The last representative carries the diamond twist <q>, so no <q> matrix
-is built; when q lies in +-H the twist is trivial.  Each m*g is split by
-one helper, ``mms._upper_split``, as t*((a,b),(0,d)) with t unimodular and
-b centred.  For odd q not dividing N that form is ((1,j),(0,q)) or
-diag(q,1), so the image is the integral symbol {t, t'} and T_q is an int
-matrix.  Otherwise each image is evaluated through rational symbols, whose
-denominators divide q: it is summed in ints as q times its coordinates.
-W_N is evaluated the same way, with w = ((0,-1),(N,0)) and N in place of q.
-
-Images are summed on the ambient generators, as {generator: coefficient}
-dicts, and each row is projected to the basis once.
+is built.  W_N sums over w = ((0,-1),(N,0)) alone, and <d> over one
+unimodular matrix with lower-right entry d mod N.  Each m*g is split by
+``mms._upper_split`` as t*((a,b),(0,d)), t unimodular and b centred.  For
+odd q not dividing N that form is ((1,j),(0,q)) or diag(q,1), so the image
+is the integral symbol {t, t'} and T_q is an int matrix; so is <d>, whose
+split is m*g itself.  Otherwise each image is evaluated through rational
+symbols whose denominators divide q (N for W_N): it is summed in ints as q
+times its coordinates.  Any element gamma*m of Gamma*m, such as T^k*m for
+another lift of i, gives the same image: the split is left-equivariant,
+and the walk of ``_add_pair`` on {gamma*t, gamma*t'} reads only t^-1*t'
+and the coset of gamma*t, which is t's.  Complex conjugation is not a left
+product and has its own pair map.
 
 Every operator is stored as an int matrix ``num`` over one positive int
 ``den`` (q for T_2 and U_q, N for W_N, 1 otherwise).  Products and checks
@@ -98,30 +98,44 @@ def generator_pair(space, k):
 def operator_from_pair_map(space, fn, name, denominator=1):
     """Assemble the operator whose image of {g,g'} is fn's, over ``denominator``.
 
-    ``fn(amb, g, g')`` adds ``denominator`` times the image of {g,g'} into
-    amb, a {ambient generator index: int coefficient} dict.  Row j combines
-    the images of the ambient generators with the integer coefficients of
-    row j of ``lift`` and projects the sum to the basis once; fn runs once
-    per term of ``lift``.  The rows are kept as ``num`` over
+    ``fn(amb, g, g', c)`` adds c * ``denominator`` times the image of {g,g'}
+    into amb, a {ambient generator index: int coefficient} dict.  Row j
+    calls fn once per term (k, c) of row j of ``lift``, adding in place, and
+    projects the sum to the basis once.  The rows are kept as ``num`` over
     ``den = denominator``; nothing is divided.
     """
     rows = []
     for lift_row in space.quotient.lift:
         amb = {}
         for k, c in lift_row:
-            image = {}
-            fn(image, *generator_pair(space, k))
-            for i, x in image.items():
-                amb[i] = amb.get(i, 0) + c * x
+            fn(amb, *generator_pair(space, k), c)
         rows.append(_combine(space, amb))
     return OperatorMatrix(name, rows, denominator)
+
+
+def _coset_sum(space, mats, name, den):
+    """The operator {g,g'} -> sum over m in mats of {m*g, m*g'}, over den.
+
+    With den = 1 each image is the integral symbol {t, t'} of the splits
+    m*g = t*((a,b),(0,d)); otherwise ``_add_scaled`` adds den times it.
+    """
+    if den == 1:
+        def fn(amb, g, gp, c):
+            for m in mats:
+                _add_pair(space, amb, _upper_split(mmul(m, g))[0],
+                          _upper_split(mmul(m, gp))[0], c)
+    else:
+        def fn(amb, g, gp, c):
+            for m in mats:
+                _add_scaled(space, amb, mmul(m, g), mmul(m, gp), c * den)
+    return operator_from_pair_map(space, fn, name, den)
 
 
 def complex_conjugation(space):
     """The involution {g,g'} -> {gbar, g'bar} (off-diagonal signs flipped)."""
     return operator_from_pair_map(
         space,
-        lambda amb, g, gp: _add_pair(space, amb, conj_entries(g), conj_entries(gp)),
+        lambda amb, g, gp, c: _add_pair(space, amb, conj_entries(g), conj_entries(gp), c),
         "conj")
 
 
@@ -132,18 +146,13 @@ def diamond(space, d):
         raise InvalidInputError("diamond requires gcd(d, level) = 1")
     if d % n in space.spec.units:
         return identity_operator(space, f"diamond({d})")
-    gamma = lift_bottom_row(n, 0, d)
-    return operator_from_pair_map(
-        space,
-        lambda amb, g, gp: _add_pair(space, amb, mmul(gamma, g), mmul(gamma, gp)),
-        f"diamond({d})")
+    return _coset_sum(space, [lift_bottom_row(n, 0, d)], f"diamond({d})", 1)
 
 
 def _coset_reps(space, q):
     """The right coset representatives m of T_q or U_q, q prime (module docstring)."""
     n = space.spec.level
-    low = -(q - 1) // 2 if q % 2 and n % q else 0
-    reps = [(1, i, 0, q) for i in range(low, low + q)]
+    reps = [(1, i, 0, q) for i in range(q)]
     if n % q == 0:
         return reps
     last = (q, 0, 0, 1)
@@ -159,33 +168,15 @@ def hecke_operator(space, q):
     if factor(q) != {q: 1}:
         raise InvalidInputError(f"T_q needs a prime q, got {q}")
     name = f"U{q}" if n % q == 0 else f"T{q}"
-    reps = _coset_reps(space, q)
-    if q % 2 and n % q:
-        def add_image(amb, h, hp):
-            _add_pair(space, amb, _upper_split(h)[0], _upper_split(hp)[0])
-        den = 1
-    else:
-        # every m * g is primitive of determinant q, so q clears its denominator
-        def add_image(amb, h, hp):
-            _add_scaled(space, amb, h, hp, q)
-        den = q
-
-    def fn(amb, g, gp):
-        for m in reps:
-            add_image(amb, mmul(m, g), mmul(m, gp))
-
-    return operator_from_pair_map(space, fn, name, den)
+    # every m * g is primitive of determinant q, so q clears its denominator
+    return _coset_sum(space, _coset_reps(space, q), name, 1 if q % 2 and n % q else q)
 
 
 def atkin_lehner(space):
     """The Atkin-Lehner involution W_N via w = ((0,-1),(N,0))."""
     n = space.spec.level
-    w = (0, -1, n, 0)
     # w * g is primitive of determinant N, so N clears its denominator
-    return operator_from_pair_map(
-        space,
-        lambda amb, g, gp: _add_scaled(space, amb, mmul(w, g), mmul(w, gp), n),
-        f"W{n}", n)
+    return _coset_sum(space, [(0, -1, n, 0)], f"W{n}", n)
 
 
 def hecke_composite(space, m):

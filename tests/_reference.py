@@ -403,8 +403,7 @@ def coset_reps_twisted(space, q):
     not dividing N, gamma = gamma0_with_lower_right(N, q), also when q lies
     in +-H."""
     n = space.spec.level
-    low = -(q - 1) // 2 if q % 2 and n % q else 0
-    reps = [(1, i, 0, q) for i in range(low, low + q)]
+    reps = [(1, i, 0, q) for i in range(q)]
     if n % q == 0:
         return reps
     return reps + [mmul(gamma0_with_lower_right(n, q), (q, 0, 0, 1))]

@@ -14,7 +14,7 @@ from mixsym.mms import (InvalidInputError, _assemble_relations, _sparse_row, _up
                         build_space, expected_homology_index, expected_manin_index,
                         homology_index_in_kernel, kernel_of_boundary, manin_index,
                         space_to_dict)
-from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, mmul
+from mixsym.sl2 import MAT_ID, MAT_S, GroupSpec, det, lift_bottom_row, mmul
 from mixsym.zlattice import (dense_rows, identity_matrix, kernel_basis, mat_mul,
                              smith_invariants, solve_rational, vec_mat)
 
@@ -390,6 +390,37 @@ class TestSectionIndependence:
         for build in builds:
             a, b = build(sp), build(other)
             assert (b.name, b.num, b.den) == (a.name, a.num, a.den), a.name
+
+
+class TestCosetChoice:
+    """T_q, U_q, W_N and <d> sum over right cosets Gamma*m, so any element
+    gamma*m of each coset gives the same operator."""
+
+    @pytest.mark.parametrize("family, levels",
+                             [("gamma0", range(2, 41)), ("gamma1", range(2, 17))],
+                             ids=["gamma0", "gamma1"])
+    def test_any_element_of_each_coset(self, family, levels):
+        """Each m becomes gamma*m, gamma = T^k * <u> * ((1, 0), (N*j, 1)) for
+        seeded k, j and u in +-H, with <u> = lift_bottom_row(N, 0, u)."""
+        seen_diamond = 0
+        for n in levels:
+            sp = _space(family, n)
+            rng = random.Random(n)
+            units = sorted(sp.spec.units)
+            cases = [(hecke.hecke_operator(sp, q), hecke._coset_reps(sp, q))
+                     for q in (2, 3, 5, 7)]
+            cases.append((hecke.atkin_lehner(sp), [(0, -1, n, 0)]))
+            for d in range(2, n):
+                if gcd(d, n) == 1 and d not in units:
+                    cases.append((hecke.diamond(sp, d), [lift_bottom_row(n, 0, d)]))
+                    seen_diamond += 1
+            for op, mats in cases:
+                moved = [mmul(mpow_t(rng.randint(-9, 9)),
+                              lift_bottom_row(n, 0, rng.choice(units)),
+                              (1, 0, n * rng.randint(-3, 3), 1), m) for m in mats]
+                got = hecke._coset_sum(sp, moved, op.name, op.den)
+                assert (got.num, got.den) == (op.num, op.den), (family, n, op.name)
+        assert seen_diamond or family == "gamma0"
 
 
 # SHA-256 of the operators in TestOperatorsPinned, recorded before the

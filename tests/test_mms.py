@@ -365,6 +365,18 @@ class TestUpperSplit:
             assert (a2, d2) == (a, d), h
             assert (b2 - b) % d == 0 and mmul(alpha, mpow_t((b2 - b) // d)) == t, h
 
+    def test_left_equivariant(self):
+        """gamma * h splits as gamma * t with the same a, b and d, for seeded
+        gamma in SL2(Z); a unimodular h is its own split, t = h."""
+        rng = random.Random(30)
+        for h in _split_cases():
+            t, a, b, d = _upper_split(h)
+            gamma = _random_word_matrix(rng)
+            assert _upper_split(mmul(gamma, h)) == (mmul(gamma, t), a, b, d), (gamma, h)
+        for _ in range(300):
+            g = _random_word_matrix(rng)
+            assert _upper_split(g)[0] == g, g
+
 
 class TestSplitRepresentative:
     @pytest.mark.parametrize("level", [("gamma0", 36), ("gamma1", 12)],

@@ -48,7 +48,7 @@ def dense_operator(space, fn, denominator=1):
     n = space.n_manin + space.n_cusp
     for k in range(n):
         amb = {}
-        fn(amb, *hecke.generator_pair(space, k))
+        fn(amb, *hecke.generator_pair(space, k), 1)
         row = [0] * n
         for k, x in amb.items():
             row[k] += x
