@@ -8,7 +8,7 @@ action.
 
 from fractions import Fraction
 
-from .sl2 import MAT_ID, gcdex, lift_bottom_row, mmul
+from .sl2 import MAT_ID, complete, lift_bottom_row, mmul
 
 INFINITY = None
 
@@ -29,10 +29,8 @@ def matrix_to_cusp(x):
     if x is INFINITY:
         return MAT_ID
     p, q = x.numerator, x.denominator
-    s, t, g = gcdex(p, q)
-    assert g == 1
-    # p*s + q*t = 1, so ((p, -t), (q, s)) has determinant 1 and sends oo to p/q
-    return (p, -t, q, s)
+    b, d = complete(p, q)
+    return (p, b, q, d)  # determinant 1, and it sends oo to p/q
 
 
 def cusp_class_of_point(space, x):

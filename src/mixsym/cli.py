@@ -280,16 +280,13 @@ def _discard_stdout():
 
 
 def run_verify(args):
-    levels = DEFAULT_LEVELS if args.levels is None else args.levels
-    primes = DEFAULT_PRIMES if args.primes is None else args.primes
-    pn_list = DEFAULT_PN if args.pn is None else args.pn
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     rep = Reporter(args.suite)
     # every suite takes **_, so all of them get the same keywords; the spaces
     # are built once and shared, unless the eis suite, which needs none, runs alone
-    kwargs = {"family": args.family, "primes": primes,
-              "pn_list": pn_list, "tol": args.tol, "strict": args.strict,
-              "spaces": [] if suites == ["eis"] else list(_spaces(args.family, levels))}
+    kwargs = {"family": args.family, "primes": args.primes,
+              "pn_list": args.pn, "tol": args.tol, "strict": args.strict,
+              "spaces": [] if suites == ["eis"] else list(_spaces(args.family, args.levels))}
     for name in suites:
         SUITES[name](rep, **kwargs)
     text = (json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -387,11 +384,11 @@ def build_parser():
     v.add_argument("--suite", required=True,
                    choices=["rank", "manin", "hecke", "pairing", "eis", "all"])
     v.add_argument("--family", choices=["gamma0", "gamma1"], default="gamma0")
-    v.add_argument("--levels", type=_int_list, default=None,
+    v.add_argument("--levels", type=_int_list, default=DEFAULT_LEVELS,
                    help="comma-separated levels")
-    v.add_argument("--primes", type=_prime_list, default=None,
+    v.add_argument("--primes", type=_prime_list, default=DEFAULT_PRIMES,
                    help="comma-separated Hecke primes")
-    v.add_argument("--pn", type=_odd_prime_power_list, default=None,
+    v.add_argument("--pn", type=_odd_prime_power_list, default=DEFAULT_PN,
                    help="comma-separated odd prime powers for the eis suite")
     v.add_argument("--tol", type=_tolerance, default=eis.DEFAULT_TOL,
                    help=f"finite positive tolerance (default: {eis.DEFAULT_TOL})")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import sl2
-from .sl2 import GroupSpec, det
+from .sl2 import GroupSpec, complete, det
 from .zlattice import (QuotientLattice, dense_rows, identity_matrix, kernel_basis,
                        quotient_by_rows, smith_invariants, sublattice_index, vec_mat,
                        vec_mat_sparse)
@@ -213,17 +213,13 @@ def _upper_split(h):
     Returns (t, a, b, d): t in SL2(Z), a = gcd(h11, h21), d = D / a and b
     centred in -((d-1)//2) .. d//2, which fix the split uniquely, so it is
     left-equivariant: gamma * h gives gamma * t.  t's first column is h's
-    over a; one modular inverse gives a second column, and a power of T
-    centres b.
+    over a; ``sl2.complete`` gives a second column, and a power of T centres
+    b, so which completion it gives cannot show.
     """
     h11, h12, h21, h22 = h
     a = gcd(h11, h21)
     u, v = h11 // a, h21 // a
-    if v:
-        y = pow(u, -1, abs(v))
-        x = (u * y - 1) // v
-    else:
-        x, y = 0, u  # u = +-1
+    x, y = complete(u, v)
     d = (h11 * h22 - h12 * h21) // a
     # b is the top right entry of t^-1 * h, t^-1 = ((y, -x), (-v, u)); t * T^k
     # takes it to b - k*d, centred by the k below

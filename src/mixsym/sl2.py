@@ -55,13 +55,18 @@ def conj_entries(m):
     return (a, -b, -c, d)
 
 
-def gcdex(a, b):
-    """Return (x, y, g) with a*x + b*y == g == gcd(a, b) and g >= 0."""
-    if b == 0:
-        return (1, 0, a) if a >= 0 else (-1, 0, -a)
-    q, r = divmod(a, b)
-    x, y, g = gcdex(b, r)
-    return y, x - y * q, g
+def complete(a, c):
+    """(b, d) with a*d - b*c = 1, for coprime a and c.
+
+    d is the inverse of a mod |c| in -|c|/2 < d <= |c|/2, as extended Euclid
+    gives it; c = 0 gives (0, a) for a = +-1.  Else pow raises a ValueError.
+    """
+    if c == 0 and a in (1, -1):
+        return 0, a
+    d = pow(a, -1, abs(c))
+    if 2 * d > abs(c):
+        d -= abs(c)
+    return (a * d - 1) // c, d
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,8 @@ def lift_bottom_row(n, c, d):
     """A matrix in SL2(Z) whose bottom row is congruent to (c, d) mod n.
 
     The row must be primitive mod n, gcd(c, d, n) = 1; a ValueError is
-    raised otherwise.  For c = 0 and a unit d != 1 mod n the result is
-    (x, -y, n, d % n) with x*d + y*n = 1, a matrix of Gamma0(n).
+    raised otherwise.  ``complete`` gives the top row (x, b), x nearest 0; for
+    c = 0 and a unit d != 1 mod n, (x, b, n, d % n) is a matrix of Gamma0(n).
     """
     if gcd(gcd(c, d), n) != 1:
         raise ValueError(f"bottom row ({c}, {d}) is not primitive mod {n}")
@@ -128,9 +133,8 @@ def lift_bottom_row(n, c, d):
     dd = d
     while gcd(cc, dd) != 1:
         dd += n
-    x, y, g = gcdex(dd, cc)
-    assert g == 1
-    m = (x, -y, cc, dd)
+    b, x = complete(dd, cc)
+    m = (x, b, cc, dd)
     assert det(m) == 1
     return m
 

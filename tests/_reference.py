@@ -3,8 +3,8 @@ polynomial and rank, the dense Smith normal form, the dense relation
 matrix of the presentation with U read by matrix product, a Gamma0(N)
 matrix from an inverse mod N, membership by family,
 T^n and the S/T word of a matrix with the two walks over it for
-reduce_pair, the coset translate found by search, the upper-triangular split
-by the extended Euclidean algorithm, the pairing's radical,
+reduce_pair, the coset translate found by search, the extended Euclidean
+algorithm and the upper-triangular split by it, the pairing's radical,
 its dense product, the Gauss-Jordan inverse and the pairing's
 perfectness over Z[1/n] read off the Gram matrix, the projection to the
 classical presentation, the T_q representatives with the twisted last one,
@@ -26,7 +26,7 @@ from mixsym.eis import DirichletCharacter, _unit_logs, gauss_sum
 from mixsym.hecke import diamond, generator_pair, hecke_operator
 from mixsym.mms import InvalidInputError, _primitive_integral, reduce_pair
 from mixsym.sl2 import (MAT_ID, MAT_S, MAT_T, MAT_U, InvalidSpecError, det,
-                        gcdex, minv, mmul, mneg)
+                        minv, mmul, mneg)
 from mixsym.zlattice import (SmithDecomposition, dense_rows, factor, hnf,
                              identity_matrix, kernel_basis, mat_copy, mat_mul,
                              mat_transpose, smith_invariants, vec_mat)
@@ -429,6 +429,15 @@ def six_mat_dense(space):
     right += [[-4 * x for x in row] for row in manin]
     k = mat_mul(mat_transpose(left), right)
     return [[x - y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))]
+
+
+def gcdex(a, b):
+    """Return (x, y, g) with a*x + b*y == g == gcd(a, b) and g >= 0."""
+    if b == 0:
+        return (1, 0, a) if a >= 0 else (-1, 0, -a)
+    q, r = divmod(a, b)
+    x, y, g = gcdex(b, r)
+    return y, x - y * q, g
 
 
 def factor_upper(m):

@@ -540,11 +540,23 @@ class TestContractFuzz:
             _FUZZ_IMPORT(fuzz_dir)
 
 
-def _fresh_python(code):
-    """Run ``code`` in a fresh interpreter that imports mixsym from this tree."""
+def _fresh_python(*args):
+    """Run a fresh interpreter on ``args``, importing mixsym from this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mixsym.__file__)))
     env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+def test_python_m_mixsym_is_main(capsys):
+    """``python -m mixsym`` gives main's exit code and stdout, and exit 2
+    on a bad argument."""
+    argv = ["verify", "--suite", "rank", "--levels", "11"]
+    run = _fresh_python("-m", "mixsym", *argv)
+    code, out, _ = _run(capsys, argv)
+    assert run.returncode == code == 0, run.stderr
+    assert run.stdout.decode() == out
+    run = _fresh_python("-m", "mixsym", "verify", "--suite", "nope")
+    assert run.returncode == 2, run.stderr
 
 
 def test_cli_import_loads_no_other_third_party_package():
@@ -556,7 +568,7 @@ def test_cli_import_loads_no_other_third_party_package():
     code = ("import sys; before = set(sys.modules); import mixsym.cli; "
             "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(*sorted(added - set(sys.stdlib_module_names)))")
-    run = _fresh_python(code)
+    run = _fresh_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [b"mixsym"], run.stdout
 
@@ -568,6 +580,6 @@ def test_eis_suite_runs_without_mpmath():
     code = ("import sys; sys.modules['mpmath'] = None; "
             "from mixsym.cli import main; "
             f"sys.exit(main({list(argv)!r}))")
-    run = _fresh_python(code)
+    run = _fresh_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == REPORT_DIGESTS[argv]

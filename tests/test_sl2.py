@@ -9,11 +9,11 @@ from math import gcd
 import pytest
 
 from mixsym.sl2 import (MAX_COSET_TABLE, GroupSpec, InvalidSpecError, MAT_ID,
-                        MAT_S, MAT_T, MAT_TAU, MAT_U, cusp_table, det, enumerate_cosets,
-                        genus, gcdex, lift_bottom_row, minus_id_in_group, minv,
-                        mmul, mneg)
+                        MAT_S, MAT_T, MAT_TAU, MAT_U, complete, cusp_table, det,
+                        enumerate_cosets, genus, lift_bottom_row, minus_id_in_group,
+                        minv, mmul, mneg)
 
-from _reference import (contains_by_family, gamma0_with_lower_right, mpow_t,
+from _reference import (contains_by_family, gamma0_with_lower_right, gcdex, mpow_t,
                         stword_decompose, word_to_matrix)
 
 
@@ -46,6 +46,34 @@ class TestMatrixBasics:
             a, b = rng.randint(-50, 50), rng.randint(-50, 50)
             x, y, g = gcdex(a, b)
             assert a * x + b * y == g >= 0
+
+    def test_complete(self):
+        """((a, b), (c, d)) has determinant 1 and -|c|/2 < d <= |c|/2."""
+        rng = random.Random(12)
+        pairs = [(1, 0), (-1, 0), (0, 1), (0, -1), (4, 1), (-4, -1),
+                 (3, 2), (-3, 2), (3, -2), (-3, -2)]
+        while len(pairs) < 400:
+            a, c = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            if gcd(a, c) == 1:
+                pairs.append((a, c))
+        for a, c in pairs:
+            b, d = complete(a, c)
+            assert a * d - b * c == 1, (a, c)
+            if c:
+                assert -abs(c) < 2 * d <= abs(c), (a, c, d)
+            else:
+                assert (b, d) == (0, a)
+        for a, c in ((2, 4), (-6, 9), (0, 0), (2, 0), (3, 0)):
+            with pytest.raises(ValueError):
+                complete(a, c)
+
+    def test_complete_is_extended_euclid(self):
+        """d is the oracle's Bezout coefficient of a, for 0 < c <= 400 and
+        |a| <= 3c + 5: the pairs lift_bottom_row and matrix_to_cusp complete."""
+        for c in range(1, 401):
+            for a in range(-3 * c - 5, 3 * c + 6):
+                if gcd(a, c) == 1:
+                    assert complete(a, c)[1] == gcdex(a, c)[0], (a, c)
 
 
 class TestGroupSpec:
