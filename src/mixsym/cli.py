@@ -141,9 +141,9 @@ def suite_hecke(rep, family, spaces, primes, **_):
             rhs = mat_scale(op.den, mat_mul(sp.pi_basis, cl))
             rep.check(f"pi-equivariance/T{q}/{tag}", lhs == rhs, "")
         if family == "gamma0" and _odd_prime_base(lvl) == lvl:
+            cs = sp.cusp_sublattice()
             for q, op in zip(primes, ops):
                 scale = 1 if lvl % q == 0 else q + 1
-                cs = sp.cusp_sublattice()
                 img = mat_mul(cs, op.num)
                 want = mat_scale(op.den * scale, cs)
                 rep.check(f"eisenstein-action/T{q}/{tag}", img == want,

@@ -7,33 +7,35 @@ of ambient generators.  The pair map fn(amb, g, g', c) adds each
 generator's image in place, at its lift coefficient c, into one
 {generator: coefficient} dict per row, and the row is projected once.
 
-T_q, U_q, W_N and <d> are double cosets, all built by one sum over right
-coset representatives m (Diamond-Shurman, A First Course in Modular Forms,
-Prop. 5.2.1): {g,g'} -> sum over m of {m*g, m*g'}.  For a prime q:
+T_m, U_m, W_N and <d> are double cosets, all built by one sum over right
+coset representatives r (Diamond-Shurman, A First Course in Modular Forms,
+Prop. 5.2.1 and Sec. 5.3): {g,g'} -> sum over r of {r*g, r*g'}.  For T_m
+(U_m when every prime of m divides N) they are the Hermite matrices
 
-  m = ((1,i),(0,q)) for i in 0 .. q-1 (these alone for U_q, q dividing N);
-  m = diag(q,1) when q does not divide N and q mod N lies in +-H (every
-      such q on Gamma0), and gamma*diag(q,1) for the other q not dividing
-      N, gamma in Gamma0(N) with lower-right entry q mod N.
+  r = ((a,b),(0,d)), a*d = m, a prime to N, 0 <= b < d,
 
-The last representative carries the diamond twist <q>, so no <q> matrix
-is built.  W_N sums over w = ((0,-1),(N,0)) alone, and <d> over one
-unimodular matrix with lower-right entry d mod N.  Each m*g is split by
-``mms._upper_split`` as t*((a,b),(0,d)), t unimodular and b centred.  For
-odd q not dividing N that form is ((1,j),(0,q)) or diag(q,1), so the image
-is the integral symbol {t, t'} and T_q is an int matrix; so is <d>, whose
-split is m*g itself.  Otherwise each image is evaluated through rational
-symbols whose denominators divide q (N for W_N): it is summed in ints as q
-times its coordinates.  Any element gamma*m of Gamma*m, such as T^k*m for
-another lift of i, gives the same image: the split is left-equivariant,
-and the walk of ``_add_pair`` on {gamma*t, gamma*t'} reads only t^-1*t'
-and the coset of gamma*t, which is t's.  Complex conjugation is not a left
-product and has its own pair map.
+in increasing a, then b, each taken as gamma*r when a mod N is not in +-H,
+gamma in Gamma0(N) with lower-right entry a mod N (never on Gamma0).  For a
+prime q they are ((1,i),(0,q)) for i in 0 .. q-1, alone when q divides N,
+then diag(q,1) or gamma*diag(q,1).
+
+The twist gamma carries the diamond <a>, so no diamond matrix is built.
+W_N sums over w = ((0,-1),(N,0)) alone, and <d> over one unimodular matrix
+with lower-right entry d mod N.  Each r*g is split by ``mms._upper_split``
+as t*((a,b),(0,d)), t unimodular and b centred.  For m odd and prime to N
+the image is the integral symbol {t, t'}, so T_m is an int matrix; so is
+<d>, whose split is r*g itself.  Otherwise each image is evaluated through
+rational symbols whose denominators divide m (N for W_N): it is summed in
+ints as m times its coordinates.  Any element gamma*r of Gamma*r, such as
+T^k*r for another lift of b, gives the same image: the split is
+left-equivariant, and the walk of ``_add_pair`` on {gamma*t, gamma*t'}
+reads only t^-1*t' and the coset of gamma*t, which is t's.  Complex
+conjugation is not a left product and has its own pair map.
 
 Every operator is stored as an int matrix ``num`` over one positive int
-``den`` (q for T_2 and U_q, N for W_N, 1 otherwise).  Products and checks
-run on ``num`` and ``den`` in ints; ``mat`` divides on read, giving Fraction
-entries only when ``den`` is not 1.
+``den`` (m for T_m unless m is odd and prime to N, N for W_N, 1 otherwise).
+Products and checks run on ``num`` and ``den`` in ints; ``mat`` divides on
+read, giving Fraction entries only when ``den`` is not 1.
 """
 
 from dataclasses import dataclass
@@ -149,27 +151,31 @@ def diamond(space, d):
     return _coset_sum(space, [lift_bottom_row(n, 0, d)], f"diamond({d})", 1)
 
 
-def _coset_reps(space, q):
-    """The right coset representatives m of T_q or U_q, q prime (module docstring)."""
+def _coset_reps(space, m):
+    """The right coset representatives of T_m or U_m, m >= 1 (module docstring)."""
     n = space.spec.level
-    reps = [(1, i, 0, q) for i in range(q)]
-    if n % q == 0:
-        return reps
-    last = (q, 0, 0, 1)
-    if q % n not in space.spec.units:
-        last = mmul(lift_bottom_row(n, 0, q), last)
-    return reps + [last]
+    # the divisors a of m prime to N are the products of m's primes not dividing N
+    divisors = [1]
+    for q, k in factor(m).items():
+        if n % q:
+            divisors = [a * q ** i for a in divisors for i in range(k + 1)]
+    reps = []
+    for a in sorted(divisors):
+        d = m // a
+        upper = [(a, b, 0, d) for b in range(d)]
+        if a % n not in space.spec.units:
+            twist = lift_bottom_row(n, 0, a)
+            upper = [mmul(twist, r) for r in upper]
+        reps += upper
+    return reps
 
 
 def hecke_operator(space, q):
     """T_q (or U_q when q divides the level) for a prime q, as an exact operator
     matrix; composite indices are ``hecke_composite``'s."""
-    n = space.spec.level
     if factor(q) != {q: 1}:
         raise InvalidInputError(f"T_q needs a prime q, got {q}")
-    name = f"U{q}" if n % q == 0 else f"T{q}"
-    # every m * g is primitive of determinant q, so q clears its denominator
-    return _coset_sum(space, _coset_reps(space, q), name, 1 if q % 2 and n % q else q)
+    return hecke_composite(space, q)
 
 
 def atkin_lehner(space):
@@ -180,48 +186,19 @@ def atkin_lehner(space):
 
 
 def hecke_composite(space, m):
-    """T_m for a composite index via the standard recurrences.
+    """T_m for any index m >= 1, one sum over ``_coset_reps(space, m)``.
 
-    Named U{m} when every prime of m divides the level, else T{m}.
+    Named U{m} when m > 1 and every prime of m divides the level, else T{m}.
     """
     if m < 1:
         raise InvalidInputError("index must be positive")
-    if m == 1:
-        return identity_operator(space, "T1")
     n = space.spec.level
-    fac = factor(m)
-    num, den = None, 1
-    for q, k in fac.items():
-        num_q, den_q = _prime_power_hecke(space, q, k, n)
-        num = num_q if num is None else mat_mul(num, num_q)
-        den *= den_q
-    name = f"U{m}" if all(n % q == 0 for q in fac) else f"T{m}"
-    return OperatorMatrix(name, num, den)
-
-
-def _prime_power_hecke(space, q, k, n):
-    """T_{q^k} (U_q^k when q divides the level) as (int matrix, denominator).
-
-    With T_q = t / d, U_q^k is t^k over d^k.  Otherwise C_j = d^j * T_{q^j}
-    satisfies C_{j+1} = C_j * t - q * d^2 * C_{j-1} * <q>, the recurrence
-    T_{q^(j+1)} = T_{q^j} * T_q - q * T_{q^(j-1)} * <q> scaled by d^(j+1),
-    and T_{q^k} is C_k over d^k.
-    """
-    tq = hecke_operator(space, q)
-    t, d = tq.num, tq.den
-    if n % q == 0:
-        out = t
-        for _ in range(k - 1):
-            out = mat_mul(out, t)
-        return out, d ** k
-    dia = diamond(space, q).num
-    prev, cur = identity_matrix(space.rank), t
-    for _ in range(k - 1):
-        correction = mat_mul(prev, dia)
-        nxt = [[a - q * d * d * b for a, b in zip(ra, rb)]
-               for ra, rb in zip(mat_mul(cur, t), correction)]
-        prev, cur = cur, nxt
-    return cur, d ** k
+    reps = _coset_reps(space, m)
+    # a = 1 alone is prime to N, giving m representatives, exactly when
+    # every prime of m divides N
+    name = f"U{m}" if m > 1 and len(reps) == m else f"T{m}"
+    # each r * g has determinant m, so m clears its denominator
+    return _coset_sum(space, reps, name, 1 if m % 2 and gcd(m, n) == 1 else m)
 
 
 def operators_commute(a, b):

@@ -536,10 +536,11 @@ def hecke_composite_fractions(space, m):
     """The matrix of T_m by the recurrences run on the divided Fraction matrices.
 
     U_q^k for q dividing the level, else T_{q^(k+1)} = T_{q^k} * T_q
-    - q * T_{q^(k-1)} * <q>; the prime powers of m are multiplied in turn.
+    - q * T_{q^(k-1)} * <q>; the prime powers of m are multiplied in turn
+    onto the identity, which is T_1.
     """
     n = space.spec.level
-    out = None
+    out = identity_matrix(space.rank)
     for q, k in factor(m).items():
         tq = hecke_operator(space, q).mat
         if n % q == 0:
@@ -554,7 +555,7 @@ def hecke_composite_fractions(space, m):
                 nxt = [[a - q * b for a, b in zip(ra, rb)]
                        for ra, rb in zip(mat_mul(cur, tq), correction)]
                 prev, cur = cur, nxt
-        out = cur if out is None else mat_mul(out, cur)
+        out = mat_mul(out, cur)
     return out
 
 

@@ -168,13 +168,21 @@ def test_rational_operators_match_fraction_route(family, level):
 
 
 @pytest.mark.parametrize("family,level", [("gamma0", 11), ("gamma0", 25),
-                                          ("gamma0", 36), ("gamma1", 12)])
+                                          ("gamma0", 36), ("gamma0", 101),
+                                          ("gamma1", 12), ("gamma1", 13),
+                                          ("gamma1", 15)])
 def test_composite_matches_fraction_recurrence(family, level):
-    """T_m summed in ints over one denominator equals the Fraction recurrences."""
+    """T_m summed in ints over one denominator equals the Fraction recurrences.
+
+    On Gamma1(13) and Gamma1(15) the representatives with a not in +-H carry
+    the diamond twist.  The sum is integral, den = 1, exactly when m is odd
+    and prime to the level.
+    """
     sp = _space(family, level)
-    for m in (4, 6, 8, 9, 12, 25):
-        assert hecke.hecke_composite(sp, m).mat == \
-            hecke_composite_fractions(sp, m), m
+    for m in (1, 4, 6, 8, 9, 10, 12, 15, 25, 27, 45):
+        op = hecke.hecke_composite(sp, m)
+        assert op.mat == hecke_composite_fractions(sp, m), m
+        assert (op.den == 1) == (m % 2 == 1 and gcd(m, level) == 1), m
 
 
 @pytest.mark.parametrize("family,level", [("gamma0", 36), ("gamma1", 12)])
