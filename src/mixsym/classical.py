@@ -3,38 +3,23 @@
 This route works purely with cusp pairs in P^1(Q) and continued-fraction
 convergents, never touching the mixed presentation's reduction machinery; it
 exists as an independent cross-check for the projection map and the Hecke
-action.
+action.  Points of P^1(Q) are the integer pairs of ``sl2``, oo = (1, 0).
 """
 
-from fractions import Fraction
-
-from .sl2 import MAT_ID, complete, lift_bottom_row, mmul
-
-INFINITY = None
-
-
-def act_point(m, x):
-    """Fractional linear action of an integer matrix on P^1(Q)."""
-    a, b, c, d = m
-    if x is INFINITY:
-        num, den = a, c
-    else:
-        num = a * x.numerator + b * x.denominator
-        den = c * x.numerator + d * x.denominator
-    return INFINITY if den == 0 else Fraction(num, den)
+from .sl2 import complete, lift_bottom_row, mmul
+from .mms import InvalidInputError
+from .zlattice import factor
 
 
 def matrix_to_cusp(x):
-    """A unimodular matrix sending oo to the given point of P^1(Q)."""
-    if x is INFINITY:
-        return MAT_ID
-    p, q = x.numerator, x.denominator
+    """A unimodular matrix with first column x, a primitive pair; it sends oo to x."""
+    p, q = x
     b, d = complete(p, q)
-    return (p, b, q, d)  # determinant 1, and it sends oo to p/q
+    return (p, b, q, d)
 
 
 def cusp_class_of_point(space, x):
-    """Cusp-class index of a point of P^1(Q)."""
+    """Cusp-class index of a point of P^1(Q), given as a primitive pair."""
     i = space.cosets.coset_of(matrix_to_cusp(x))
     return space.cusps.cusp_of[i]
 
@@ -50,10 +35,18 @@ def symbol(space, alpha, beta):
 
 
 def _from_infinity(space, x):
-    """Sparse rows for {oo, x} as a telescoping sum of Manin symbols over convergents."""
-    if x is INFINITY:
+    """Sparse rows for {oo, x} as a telescoping sum of Manin symbols over convergents.
+
+    Euclid runs on x = (p, q) as given, with q >= 0: a common factor of p and
+    q leaves the quotients unchanged.
+    """
+    p, q = x
+    if q < 0:
+        p, q = -p, -q
+    if q == 0:
+        if p == 0:
+            raise InvalidInputError("(0, 0) is not a point of P^1(Q)")
         return []
-    p, q = x.numerator, x.denominator
     quotients = []
     while q:
         a, r = divmod(p, q)
@@ -81,31 +74,34 @@ def boundary_matrix(space):
     for lift_row in space.classical.lift:
         out = [0] * space.cusps.count
         for i, coeff in lift_row:
-            rep = space.cosets.reps[i]
-            out[cusp_class_of_point(space, act_point(rep, INFINITY))] += coeff
-            out[cusp_class_of_point(space, act_point(rep, Fraction(0)))] -= coeff
+            a, b, c, d = space.cosets.reps[i]
+            out[cusp_class_of_point(space, (a, c))] += coeff
+            out[cusp_class_of_point(space, (b, d))] -= coeff
         rows.append(out)
     return rows
 
 
 def _apply_mats(space, mats):
-    """Matrix of x -> sum over m in mats of {m*alpha, m*beta} on the basis."""
+    """Matrix of {g*0, g*oo} -> sum over m in mats of {m*g*0, m*g*oo} on the
+    basis, the columns (b, d) and (a, c) of m*g."""
     n_cl = space.classical.rank
     rows = []
     for lift_row in space.classical.lift:
         out = [0] * n_cl
         for i, coeff in lift_row:
             g = space.cosets.reps[i]
-            alpha, beta = act_point(g, Fraction(0)), act_point(g, INFINITY)
             for m in mats:
-                contrib = symbol(space, act_point(m, alpha), act_point(m, beta))
-                out = [a + coeff * b for a, b in zip(out, contrib)]
+                a, b, c, d = mmul(m, g)
+                contrib = symbol(space, (b, d), (a, c))
+                out = [x + coeff * y for x, y in zip(out, contrib)]
         rows.append(out)
     return rows
 
 
 def hecke_matrix(space, q):
-    """Classical T_q / U_q on the companion presentation via cusp pairs."""
+    """Classical T_q / U_q for a prime q on the companion presentation via cusp pairs."""
+    if factor(q) != {q: 1}:
+        raise InvalidInputError(f"T_q needs a prime q, got {q}")
     n = space.spec.level
     mats = [(1, i, 0, q) for i in range(q)]
     if n % q:

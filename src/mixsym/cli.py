@@ -160,7 +160,7 @@ def suite_pairing(rep, family, spaces, strict=False, **_):
         if sp.rank:
             conj = hecke.complex_conjugation(sp)
             rep.check(f"conj-anti-invariance/{tag}",
-                      dualpair.conj_anti_invariance(sp, pm, conj), "")
+                      dualpair.conj_anti_invariance(pm, conj), "")
             rep.check(f"perfectness/{tag}", info["perfect_after_inverting"],
                       f"perfect over Z[1/{info['inverted']}], "
                       f"invariants={[str(f) for f in info['invariants']]}")
@@ -169,7 +169,7 @@ def suite_pairing(rep, family, spaces, strict=False, **_):
             if q is not None:
                 t = hecke.hecke_operator(sp, q)
                 rep.check(f"adjointness/T{q}/{tag}",
-                          dualpair.adjointness_check(sp, pm, t, w), "")
+                          dualpair.adjointness_check(pm, t, w), "")
             try:
                 n = dualpair.verify_G_identity(sp, pm)
                 rep.check(f"G-identity/{tag}", True, f"{n} functionals")

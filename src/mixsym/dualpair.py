@@ -150,7 +150,7 @@ def perfectness_report(space, pairing=None):
     }
 
 
-def conj_anti_invariance(space, pairing, conj_op):
+def conj_anti_invariance(pairing, conj_op):
     """Check <phi o c, psi> = -<phi, psi o c> as a matrix identity.
 
     Precomposition with the conjugation matrix C sends the functional phi to
@@ -162,7 +162,7 @@ def conj_anti_invariance(space, pairing, conj_op):
     return mat_mul(mat_transpose(c), six) == mat_scale(-1, mat_mul(six, c))
 
 
-def adjointness_check(space, pairing, op, w_op):
+def adjointness_check(pairing, op, w_op):
     """Check that the pairing swaps op with its Atkin-Lehner conjugate.
 
     On functionals the operator with element-side matrix M acts by

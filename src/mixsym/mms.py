@@ -385,9 +385,8 @@ def space_to_dict(space):
         return [str(x) for x in row]
 
     cusp_records = []
-    for p, w in zip(space.cusps.points, space.cusps.widths):
-        rep = "oo" if p is None else (str(p.numerator) if p.denominator == 1
-                                      else f"{p.numerator}/{p.denominator}")
+    for (p, q), w in zip(space.cusps.points, space.cusps.widths):
+        rep = "oo" if q == 0 else str(p) if q == 1 else f"{p}/{q}"
         cusp_records.append({"rep": rep, "width": str(w)})
     return {
         "family": space.spec.family,

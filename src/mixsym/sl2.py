@@ -4,10 +4,13 @@ Matrices are 4-tuples (a, b, c, d) of integers with determinant 1.  All coset
 bookkeeping is done in PSL2(Z): a group element and its negative label the
 same coset, which is harmless here because every symbol considered later is
 invariant under sign changes of its entries.
+
+A point of P^1(Q) is an integer pair (p, q), not both 0, standing for p/q; a
+pair and its non-zero multiples are the same point, and oo is (1, 0).  A
+matrix sends oo and 0 to its first and second columns, (a, c) and (b, d).
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -210,8 +213,9 @@ class CuspTable:
 
     ``orbits[k]`` lists the coset indices of cusp class k in T-order;
     ``widths[k]`` is the ramification index of that cusp; ``cusp_of[i]`` maps
-    a coset index to its cusp class; ``points[k]`` is the representative in
-    P^1(Q), either a Fraction or None for the cusp at infinity.
+    a coset index to its cusp class; ``points[k]`` is the primitive pair
+    rep * oo = (a, c), the first column of one of its representatives, with
+    oo = (1, 0).
     """
 
     orbits: list
@@ -231,15 +235,12 @@ class CuspTable:
         return g
 
 
-def _cusp_point(rep):
-    a, c = rep[0], rep[2]
-    if c == 0:
-        return None
-    return Fraction(a, c)
-
-
 def cusp_table(table):
-    """Group the cosets into cusp classes and pick canonical representatives."""
+    """Group the cosets into cusp classes and pick canonical representatives.
+
+    A class's point is the first column (a, c) of its representative least in
+    (c, a): oo = (1, 0) first, as every other representative has 1 <= c <= N.
+    """
     act_t = table.action["T"]
     seen = [False] * table.index
     raw = []
@@ -253,16 +254,10 @@ def cusp_table(table):
             orbit.append(i)
             i = act_t[i]
         assert i == start
-        pts = [_cusp_point(table.reps[j]) for j in orbit]
-        best = None
-        for j, p in zip(orbit, pts):
-            key = (0, 0, 0) if p is None else (1, p.denominator, p.numerator)
-            if best is None or key < best[0]:
-                best = (key, j, p)
-        raw.append((best[0], best[2], orbit))
+        raw.append((min((table.reps[j][2], table.reps[j][0]) for j in orbit), orbit))
     raw.sort(key=lambda t: t[0])
-    orbits = [orbit for _, _, orbit in raw]
-    points = [p for _, p, _ in raw]
+    orbits = [orbit for _, orbit in raw]
+    points = [(a, c) for (c, a), _ in raw]
     widths = [len(orbit) for orbit in orbits]
     cusp_of = [0] * table.index
     for k, orbit in enumerate(orbits):

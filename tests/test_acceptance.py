@@ -123,12 +123,12 @@ def test_criterion_6_pairing_suite():
         info = dualpair.perfectness_report(sp, pm)
         ok = ok and info["antisymmetric"] and info["six_times_integral"]
         ok = ok and dualpair.conj_anti_invariance(
-            sp, pm, hecke.complex_conjugation(sp))
+            pm, hecke.complex_conjugation(sp))
         ok = ok and is_perfect_over(pm, 2 * p)
         w = hecke.atkin_lehner(sp)
         q = next(q for q in (3, 5, 7, 11) if (2 * p) % q != 0)
         ok = ok and dualpair.adjointness_check(
-            sp, pm, hecke.hecke_operator(sp, q), w)
+            pm, hecke.hecke_operator(sp, q), w)
         # conjectural determinant value, realized as the Pfaffian magnitude
         ok = ok and info["abs_pfaffian"] == info["expected_abs_det"] == p
     _line(6, "pairing antisymmetric, 6-integral, conjugation-anti-invariant, "

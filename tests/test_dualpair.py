@@ -126,7 +126,7 @@ class TestEquivariance:
     def test_conjugation_anti_invariance(self, family, level):
         sp = _space(family, level)
         conj = hecke.complex_conjugation(sp)
-        assert dualpair.conj_anti_invariance(sp, _pairing(family, level), conj)
+        assert dualpair.conj_anti_invariance(_pairing(family, level), conj)
 
     @pytest.mark.parametrize("family,level", LEVELS)
     def test_hecke_adjoint_is_atkin_lehner_conjugate(self, family, level):
@@ -134,7 +134,7 @@ class TestEquivariance:
         w = hecke.atkin_lehner(sp)
         q = next(q for q in (3, 5, 7, 11) if (2 * level) % q != 0)
         t = hecke.hecke_operator(sp, q)
-        assert dualpair.adjointness_check(sp, _pairing(family, level), t, w)
+        assert dualpair.adjointness_check(_pairing(family, level), t, w)
 
 
 class TestGMap:

@@ -32,6 +32,12 @@ EXPORT_DIGESTS = {
         "e46a5b64468062a53f9ed88b2f3e64ce51717cfcedfce1a7145eb2e25a933d4d",
     ("gamma0", 101):
         "0eca19a449ccd960ee17b890a9d88a59921d0dd9c64974cd826180646cafef38",
+    # many cusps with composite denominators, recorded while cusp points
+    # were still Fractions
+    ("gamma0", 36):
+        "91bb24c10e41848ec78f50e0f4a0fc797a575ec4fd220fa32e4fe7b21f55ed1e",
+    ("gamma1", 12):
+        "99d235886dd3262162f2ac3422c15e64b1313c501b50fbe7ae29ce10965a0033",
 }
 
 MATRIX_DIGESTS = {

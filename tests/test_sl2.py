@@ -330,7 +330,9 @@ class TestCusps:
         for spec in (GroupSpec("gamma0", 11), GroupSpec("gamma0", 25),
                      GroupSpec("gamma1", 5)):
             cusps = cusp_table(enumerate_cosets(spec))
-            assert cusps.points[0] is None  # the cusp at infinity
+            assert cusps.points[0] == (1, 0)  # the cusp at infinity
+            for p, q in cusps.points:
+                assert gcd(p, q) == 1 and q >= 0, (spec, p, q)
 
     def test_gamma0_p_widths(self):
         cusps = cusp_table(enumerate_cosets(GroupSpec("gamma0", 11)))
