@@ -329,8 +329,9 @@ def run_import(args):
 
 
 def _int_list(s):
+    """The comma-separated integers of s, each once, in first-seen order."""
     try:
-        xs = [int(x) for x in s.split(",") if x]
+        xs = list(dict.fromkeys(int(x) for x in s.split(",") if x))
     except ValueError:
         xs = []
     if not xs:

@@ -149,36 +149,35 @@ def _add_pair(space, amb, g, gprime, s=1):
     as +-T^(a_0) S T^(a_1) S ... T^(a_k), which telescopes {g, g'} into one
     symbol per letter at the prefix h = g * (letters before it): {h, h*T^a}
     is a times the cusp generator at h's coset and {h, h*S} is the Manin
-    generator of h's coset.  A coset depends only on the bottom row (c, d)
-    of h mod N, so the walk moves that row alone, in the same loop: T^a
-    sends it to (c, c*a + d) and S to (d, -c).
+    generator of h's coset.  The walk moves that coset i on the coset
+    graph from ``coset_of(g)``: S sends i to ``action["S"][i]`` and T^a
+    moves it a steps along its cusp's T-orbit (``CuspTable.position``).
     """
-    n = space.spec.level
-    index_of = space.cosets.index_of
-    cusp_of = space.cusps.cusp_of
+    act_s = space.cosets.action["S"]
+    cusp_of, orbits, position = space.cusps.cusp_of, space.cusps.orbits, space.cusps.position
     n_manin = space.n_manin
     a, b, c, d = g
     p, q, r, t = gprime
     # m = g^-1 * g', with g^-1 = (d, -b, -c, a)
     ma, mb, mc, md = d * p - b * r, d * q - b * t, a * r - c * p, a * t - c * q
-    c, d = c % n, d % n
+    i = space.cosets.coset_of(g)
     while mc:
         k = ma // mc
         if k:
-            i = n_manin + cusp_of[index_of[c * n + d]]
-            amb[i] = amb.get(i, 0) + s * k
-            d = (d + c * k) % n
+            orbit = orbits[cusp_of[i]]
+            j = n_manin + cusp_of[i]
+            amb[j] = amb.get(j, 0) + s * k
+            i = orbit[(position[i] + k) % len(orbit)]
             ma, mb = ma - k * mc, mb - k * md
-        i = index_of[c * n + d]
         amb[i] = amb.get(i, 0) + s
-        c, d = d, -c % n
+        i = act_s[i]
         # m <- S^-1 * m
         ma, mb, mc, md = mc, md, -ma, -mb
     # m is now +-T^k
     k = mb if ma == 1 else -mb
     if k:
-        i = n_manin + cusp_of[index_of[c * n + d]]
-        amb[i] = amb.get(i, 0) + s * k
+        j = n_manin + cusp_of[i]
+        amb[j] = amb.get(j, 0) + s * k
 
 
 def _combine(space, amb):

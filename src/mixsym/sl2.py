@@ -148,11 +148,11 @@ class CosetTable:
 
     ``index_of[(c % N) * N + d % N]`` is the index of the coset of the
     matrices with bottom row (c, d), and None when (c, d) is not primitive
-    mod N.  It is the one coset lookup: ``coset_of`` reads it, and so does
-    the walk of ``mms._add_pair``.  ``action["S"][i]`` and ``action["T"][i]``
-    are the indices of the cosets of reps[i] * S and reps[i] * T.  S and T
-    generate SL2(Z), so they carry the whole right action; U = T * S sends
-    coset i to ``action["S"][action["T"][i]]``.
+    mod N.  ``coset_of`` is the one coset lookup, and only it reads the
+    table.  ``action["S"][i]`` and ``action["T"][i]`` are the indices of the
+    cosets of reps[i] * S and reps[i] * T.  S and T generate SL2(Z), so they
+    carry the whole right action; U = T * S sends coset i to
+    ``action["S"][action["T"][i]]``.
     """
 
     spec: GroupSpec
@@ -213,14 +213,16 @@ class CuspTable:
 
     ``orbits[k]`` lists the coset indices of cusp class k in T-order;
     ``widths[k]`` is the ramification index of that cusp; ``cusp_of[i]`` maps
-    a coset index to its cusp class; ``points[k]`` is the primitive pair
-    rep * oo = (a, c), the first column of one of its representatives, with
-    oo = (1, 0).
+    a coset index to its cusp class and ``position[i]`` to its place in that
+    orbit, so T^k sends coset i to ``orbit[(position[i] + k) % width]``;
+    ``points[k]`` is the primitive pair rep * oo = (a, c), the first column of
+    one of its representatives, with oo = (1, 0).
     """
 
     orbits: list
     widths: list
     cusp_of: list
+    position: list
     points: list
 
     @property
@@ -260,10 +262,12 @@ def cusp_table(table):
     points = [(a, c) for (c, a), _ in raw]
     widths = [len(orbit) for orbit in orbits]
     cusp_of = [0] * table.index
+    position = [0] * table.index
     for k, orbit in enumerate(orbits):
-        for i in orbit:
+        for j, i in enumerate(orbit):
             cusp_of[i] = k
-    return CuspTable(orbits, widths, cusp_of, points)
+            position[i] = j
+    return CuspTable(orbits, widths, cusp_of, position, points)
 
 
 def genus(table, cusps):

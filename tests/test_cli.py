@@ -160,6 +160,21 @@ class TestVerify:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["suite"] == "rank"
 
+    def test_repeated_level_is_run_once(self, capsys):
+        once = _run(capsys, ["verify", "--suite", "rank", "--levels", "5"])
+        assert _run(capsys, ["verify", "--suite", "rank", "--levels", "5,5"]) == once
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "hecke", "--levels", "11", "--primes", "2,2"],
+        ["--suite", "eis", "--pn", "5,5"],
+        ["--suite", "rank", "--levels", "7,5,7,5"],
+    ])
+    def test_report_ids_are_unique(self, capsys, argv):
+        code, out, _ = _run(capsys, ["verify", *argv])
+        assert code == 0
+        ids = [i["id"] for i in json.loads(out)["items"]]
+        assert ids and len(ids) == len(set(ids))
+
 
 class TestExportImport:
     def test_round_trip(self, capsys, tmp_path):

@@ -17,14 +17,14 @@ from mixsym.mms import (InvalidInputError, _add_pair, _assemble_relations, _uppe
                         kernel_of_boundary, kernel_pi_invariants, manin_image_rows,
                         manin_index, reduce_pair, reduce_pair_rational,
                         reduce_pair_scaled, space_from_dict, space_to_dict)
-from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, det, mmul
+from mixsym.sl2 import GroupSpec, MAT_ID, MAT_S, MAT_T, det, minv, mmul
 from mixsym.zlattice import (dense_rows, identity_matrix, quotient_by_rows, sparse_rows,
                              sublattice_index)
 
 from _reference import (assemble_relations_dense, coset_times_u, factor_upper,
                         homology_rows_schreier, mpow_t, pi_classical,
                         reduce_pair_matrix_walk, reduce_to_ambient_by_word,
-                        sublattice_index_smith)
+                        stword_decompose, sublattice_index_smith)
 
 # rank must equal 2*genus + 2*(cusps - 1)
 RANK_TABLE = {("gamma0", 5): 2, ("gamma0", 7): 2, ("gamma0", 9): 6,
@@ -128,6 +128,24 @@ def _long_t_word_matrix(rng, bound):
     return m
 
 
+def _long_word_pair(rng):
+    """(g, g * w) for a short random g and w a product of 12 factors S * T^k,
+    2 <= |k| <= 5."""
+    g, w = _random_word_matrix(rng), MAT_ID
+    for _ in range(12):
+        w = mmul(w, MAT_S, mpow_t(rng.choice((-1, 1)) * rng.randint(2, 5)))
+    return g, mmul(g, w)
+
+
+class _CountedReads(list):
+    """A list that counts its item reads."""
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return list.__getitem__(self, k)
+
+
 class TestReduce:
     def test_t_power_is_cusp_generator_multiple(self):
         sp = _space("gamma0", 5)
@@ -173,7 +191,7 @@ class TestReduce:
     @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 61)),
                                                ("gamma1", range(2, 21))])
     def test_matches_matrix_prefix_walk(self, family, levels):
-        """The bottom-row walk against the walk over whole prefix matrices,
+        """The coset-graph walk against the walk over whole prefix matrices,
         on short words and on words with T-exponents up to 10 * N."""
         for level in levels:
             sp = _space(family, level)
@@ -204,6 +222,26 @@ class TestReduce:
                     assert amb == reduce_to_ambient_by_word(sp, g, gp), (level, g, gp)
                     _add_pair(sp, amb, g, gp, -1)
                     assert not any(amb.values()), (level, g, gp)
+
+    @pytest.mark.parametrize("family,level", [("gamma0", 101), ("gamma1", 13)])
+    def test_walk_reads_the_p1_table_once(self, monkeypatch, family, level):
+        """The walk looks up its first coset and then moves on the coset
+        graph: one read of ``index_of`` per reduce_pair call on words of 20
+        letters or more, and at most three per reduce_pair_scaled call (the
+        walk and the two cusp corrections)."""
+        sp = _space(family, level)
+        table = _CountedReads(sp.cosets.index_of)
+        monkeypatch.setattr(sp.cosets, "index_of", table)
+        rng = random.Random(level)
+        for _ in range(20):
+            g, gp = _long_word_pair(rng)
+            assert len(stword_decompose(mmul(minv(g), gp))[0]) >= 20
+            table.reads = 0
+            reduce_pair(sp, g, gp)
+            assert table.reads == 1, (g, gp)
+            table.reads = 0
+            reduce_pair_scaled(sp, mmul(g, (1, 1, 0, 3)), mmul(gp, (3, 0, 0, 1)), 3)
+            assert 1 <= table.reads <= 3, (g, gp)
 
 
 # SHA-256 of the reductions in test_reductions_pinned, recorded from the

@@ -334,6 +334,20 @@ class TestCusps:
             for p, q in cusps.points:
                 assert gcd(p, q) == 1 and q >= 0, (spec, p, q)
 
+    @pytest.mark.parametrize("family,levels", [("gamma0", range(1, 61)),
+                                               ("gamma1", range(2, 21))])
+    def test_position_in_t_orbit(self, family, levels):
+        """Each coset sits at ``position`` in its orbit, and one step along
+        the orbit is the action of T."""
+        for level in levels:
+            table = _table(family, level)
+            cusps = cusp_table(table)
+            for i in range(table.index):
+                orbit = cusps.orbits[cusps.cusp_of[i]]
+                assert orbit[cusps.position[i]] == i, (level, i)
+                assert orbit[(cusps.position[i] + 1) % len(orbit)] == \
+                    table.action["T"][i], (level, i)
+
     def test_gamma0_p_widths(self):
         cusps = cusp_table(enumerate_cosets(GroupSpec("gamma0", 11)))
         assert sorted(cusps.widths) == [1, 11]
